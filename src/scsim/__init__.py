@@ -9,7 +9,7 @@ deterministic two-timescale engine, closed-form oracles for validation,
 and a small CLI that emits CSV metrics and SVG plots.
 """
 
-from .catalog import Catalog, build_catalog, hit_rate, sample_request, sample_requests, top_k
+from .catalog import Catalog, build_catalog, hit_rate, sample_requests, top_k
 from .config import ConfigError, RunSettings, parse_config, parse_settings
 from .energy import Battery, EnergyProfile, battery_step, harvest_rate, ledger_residual, mean_rate
 from .engine import (
@@ -28,10 +28,7 @@ from .engine import (
 from .mobility import (
     Highway,
     TrafficProfile,
-    Vehicle,
     VehicleSet,
-    predict_handovers,
-    predict_next_cell,
     spawn_vehicles,
     traffic_multiplier,
 )
@@ -43,7 +40,7 @@ from .policy import (
     sustainable_large_step,
     sustainable_small_step,
 )
-from .station import CacheStore, Mode, PowerModel, StationState, admit, power_draw
+from .station import CacheStore, PowerModel
 
 __version__ = "0.1.0"
 
@@ -51,17 +48,13 @@ __all__ = [
     "Catalog",
     "build_catalog",
     "hit_rate",
-    "sample_request",
     "sample_requests",
     "top_k",
     "Highway",
     "TrafficProfile",
-    "Vehicle",
     "VehicleSet",
     "spawn_vehicles",
     "traffic_multiplier",
-    "predict_next_cell",
-    "predict_handovers",
     "EnergyProfile",
     "Battery",
     "battery_step",
@@ -70,10 +63,6 @@ __all__ = [
     "ledger_residual",
     "PowerModel",
     "CacheStore",
-    "StationState",
-    "Mode",
-    "admit",
-    "power_draw",
     "BackhaulBudget",
     "plan_popular_update",
     "plan_prefetch",

@@ -10,7 +10,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Catalog", "build_catalog", "hit_rate", "sample_request", "sample_requests", "top_k"]
+__all__ = ["Catalog", "build_catalog", "hit_rate", "sample_requests", "top_k"]
 
 
 @dataclass(frozen=True)
@@ -34,7 +34,7 @@ class Catalog:
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "popularity", np.asarray(self.popularity, dtype=np.float64))
-        # Cumulative distribution, used by sample_request for a single-draw
+        # Cumulative distribution, used by sample_requests for an
         # inverse-CDF lookup.
         object.__setattr__(self, "_cdf", np.cumsum(self.popularity))
 
@@ -99,21 +99,9 @@ def top_k(catalog: Catalog, k: int) -> list[int]:
     return list(range(1, k + 1))
 
 
-def sample_request(catalog: Catalog, rng: np.random.Generator) -> int:
-    """Draw one content id distributed per the catalog popularity.
-
-    Consumes exactly one uniform variate from ``rng``.
-    """
-    return int(_lookup(catalog, rng.random(1))[0])
-
-
 def sample_requests(catalog: Catalog, n: int, rng: np.random.Generator) -> np.ndarray:
     """Draw ``n`` iid content ids; consumes exactly ``n`` uniform variates."""
-    return _lookup(catalog, rng.random(n))
-
-
-def _lookup(catalog: Catalog, u: np.ndarray) -> np.ndarray:
-    idx = np.searchsorted(catalog._cdf, u, side="right")
+    idx = np.searchsorted(catalog._cdf, rng.random(n), side="right")
     # Guard the u ~ 1.0 edge where float rounding of the CDF could land
     # one past the last id.
     return np.minimum(idx, catalog.n_files - 1).astype(np.int64) + 1

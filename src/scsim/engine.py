@@ -54,7 +54,7 @@ from .policy import (
     sustainable_large_step,
     sustainable_small_step,
 )
-from .station import CacheStore, Mode, PowerModel, StationState
+from .station import CacheStore, PowerModel
 
 __all__ = [
     "Scenario",
@@ -219,30 +219,19 @@ def _demand_pass(sc: Scenario) -> Iterator[DemandEpoch]:
 
     masks = np.zeros((n_stations, sc.n_files + 1), dtype=bool)
     flat_masks = masks.reshape(-1)
-    stations = [
-        StationState(
-            index=i,
-            cache=CacheStore(sc.cache_capacity, sc.split_ratio, mask=masks[i]),
-            power=sc.power,
-        )
-        for i in range(n_stations)
-    ]
+    caches = [CacheStore(sc.cache_capacity, sc.split_ratio, mask=masks[i]) for i in range(n_stations)]
     dt = float(sc.step_seconds)
     n_sub = sc.epoch_seconds // sc.step_seconds
-    prefetch_on = (
-        sc.prefetch_budget > 0 and stations[0].cache.prefetch_capacity > 0 and sc.cache_capacity > 0
-    )
+    prefetch_on = sc.prefetch_budget > 0 and caches[0].prefetch_capacity > 0
 
     for e in range(sc.duration // sc.epoch_seconds):
         t0 = e * sc.epoch_seconds
         density = sc.traffic.base_density * traffic_multiplier(sc.traffic, float(t0))
         vehicles = spawn_vehicles(density, hw, catalog, rng, speed=sc.speed, entry_time=float(t0))
         budgets = [sc.backhaul.realize(rng) for _ in range(n_stations)]
-        for st, budget in zip(stations, budgets):
-            evict, fetch = plan_popular_update(
-                st.cache.popular, catalog, budget, st.cache.popular_capacity
-            )
-            st.cache.apply_popular_update(evict, fetch)
+        for cache, budget in zip(caches, budgets):
+            evict, fetch = plan_popular_update(cache.popular, catalog, budget, cache.popular_capacity)
+            cache.apply_popular_update(evict, fetch)
 
         n_veh = vehicles.n
         contents = vehicles.active_content
@@ -282,12 +271,9 @@ def _demand_pass(sc: Scenario) -> Iterator[DemandEpoch]:
             for j in range(s1 - s0):
                 if prefetch_on and changed[j] and bounds[j] < bounds[j + 1]:
                     triples = ahead[bounds[j]:bounds[j + 1]]
-                    for st_idx, picks in plan_prefetch(
-                        triples, stations, sc.prefetch_budget, horizon=dt
-                    ).items():
-                        cache = stations[st_idx].cache
+                    for st_idx, picks in plan_prefetch(triples, caches, sc.prefetch_budget).items():
                         for content in picks:
-                            cache.prefetch_insert(content)
+                            caches[st_idx].prefetch_insert(content)
                 np.take(flat_masks, lookup[j], out=cached[j])
 
             slots = np.nonzero(cached)[0] * n_stations + cells_block[cached]
@@ -350,10 +336,6 @@ class _EnergyPass:
         self.n_stations = sc.highway.n_stations
         self.n_sub = sc.epoch_seconds // sc.step_seconds
         self.dt = float(sc.step_seconds)
-        self.stations = [
-            StationState(index=i, cache=CacheStore(0), power=sc.power)
-            for i in range(self.n_stations)
-        ]
         self.bank = Battery(level=np.zeros(self.n_stations), capacity=sc.battery_capacity)
         # The greedy controller requests full power from identical, initially
         # empty stores under one harvest, so its battery never depends on the
@@ -372,22 +354,15 @@ class _EnergyPass:
         t0 = demand.t0
         harvests = harvest_rates(sc.energy, t0 + np.arange(self.n_sub) * self.dt)
         if sc.policy == "sustainable":
-            forecast = np.full(
-                self.n_stations, mean_rate(sc.energy, float(t0), float(t0 + sc.epoch_seconds))
+            forecast = mean_rate(sc.energy, float(t0), float(t0 + sc.epoch_seconds))
+            active, quotas = sustainable_large_step(
+                sc.power, self.bank.level, forecast, float(sc.epoch_seconds)
             )
-            mode_plan, power_plan = sustainable_large_step(
-                self.stations, self.bank.level, forecast, float(sc.epoch_seconds)
-            )
-        else:
-            mode_plan, power_plan = greedy_large_step(self.stations)
-        active = np.array([m is Mode.ACTIVE for m in mode_plan.modes])
-        quotas = np.array(power_plan.quotas, dtype=np.int64)
-
-        if sc.policy == "sustainable":
             served, delivered, level, pushes, defers = self._serve_sustainable(
                 demand.hits, harvests, active, quotas
             )
         else:
+            active, quotas = greedy_large_step(sc.power, self.n_stations)
             served, delivered, level = self._serve_greedy(demand.hits, harvests)
             pushes = defers = 0
         self.steps += self.n_sub

@@ -1,7 +1,7 @@
 """Ring-highway geometry, vehicle flow, and the daily demand profile."""
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -9,16 +9,12 @@ from .catalog import Catalog, sample_requests
 
 __all__ = [
     "Highway",
-    "Vehicle",
     "VehicleSet",
     "TrafficProfile",
     "spawn_vehicles",
     "traffic_multiplier",
-    "advance",
-    "cell_index",
     "cell_indices",
-    "predict_next_cell",
-    "predict_handovers",
+    "handovers_from_arrays",
 ]
 
 SECONDS_PER_DAY = 86400.0
@@ -48,17 +44,6 @@ class Highway:
 
 
 @dataclass(frozen=True)
-class Vehicle:
-    """A single vehicle; ``direction`` is +1 or -1 along the ring."""
-
-    position: float
-    direction: int
-    speed: float
-    active_content: int
-    entry_time: float = 0.0
-
-
-@dataclass(frozen=True)
 class VehicleSet:
     """Column-oriented vehicle population (one array per field)."""
 
@@ -81,15 +66,6 @@ class VehicleSet:
         dt = np.asarray(dt, dtype=np.float64)
         drift = np.multiply.outer(dt, self.direction * self.speed)
         return (self.position + drift) % highway.length
-
-    def __getitem__(self, i: int) -> Vehicle:
-        return Vehicle(
-            position=float(self.position[i]),
-            direction=int(self.direction[i]),
-            speed=float(self.speed[i]),
-            active_content=int(self.active_content[i]),
-            entry_time=float(self.entry_time[i]),
-        )
 
 
 @dataclass(frozen=True)
@@ -185,54 +161,10 @@ def _fill_ring(density: float, length: float, rng: np.random.Generator) -> np.nd
     return positions[positions < length]
 
 
-def advance(vehicles: VehicleSet, dt: float, highway: Highway) -> VehicleSet:
-    """Move every vehicle ``dt`` seconds along its direction, wrapping."""
-    new_pos = (vehicles.position + vehicles.direction * vehicles.speed * dt) % highway.length
-    return replace(vehicles, position=new_pos)
-
-
-def cell_index(position: float, highway: Highway) -> int:
-    """Index of the station cell containing ``position`` (boundary goes up)."""
-    if not 0.0 <= position < highway.length:
-        raise ValueError(f"position must lie in [0, {highway.length}), got {position}")
-    return int(position // highway.cell_length) % highway.n_stations
-
-
 def cell_indices(positions: np.ndarray, highway: Highway) -> np.ndarray:
+    """Index of the station cell containing each position (boundary goes up)."""
     idx = (positions // highway.cell_length).astype(np.intp)
     return idx % highway.n_stations
-
-
-def predict_next_cell(vehicle: Vehicle, highway: Highway) -> tuple[int, float]:
-    """Station cell the vehicle enters next, and the exact seconds until then.
-
-    A vehicle sitting on a boundary already belongs to the higher cell, so
-    travelling forward it has a full cell to cross, while travelling
-    backward it is about to exit immediately (eta 0).
-    """
-    cell = cell_index(vehicle.position, highway)
-    cl = highway.cell_length
-    if vehicle.direction > 0:
-        dist = (cell + 1) * cl - vehicle.position
-        nxt = (cell + 1) % highway.n_stations
-    else:
-        dist = vehicle.position - cell * cl
-        nxt = (cell - 1) % highway.n_stations
-    return nxt, dist / vehicle.speed
-
-
-def predict_handovers(
-    vehicles: VehicleSet, highway: Highway, horizon: float
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorised handover lookahead.
-
-    Returns (vehicle indices, next cell index, eta seconds) for every
-    vehicle whose next boundary crossing falls within ``horizon`` seconds,
-    using the same boundary convention as :func:`predict_next_cell`.
-    """
-    return handovers_from_arrays(
-        vehicles.position, vehicles.direction, vehicles.speed, highway, horizon
-    )
 
 
 def handovers_from_arrays(
@@ -242,7 +174,14 @@ def handovers_from_arrays(
     highway: Highway,
     horizon: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Array-level core of :func:`predict_handovers`."""
+    """Handover lookahead: each vehicle's next cell and when it gets there.
+
+    Returns (vehicle indices, next cell index, eta seconds) for every
+    vehicle whose next boundary crossing falls within ``horizon`` seconds.
+    A vehicle sitting on a boundary already belongs to the higher cell, so
+    travelling forward it has a full cell to cross, while travelling
+    backward it is about to exit immediately (eta 0).
+    """
     cl = highway.cell_length
     cells = cell_indices(position, highway)
     forward = direction > 0

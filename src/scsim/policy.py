@@ -1,10 +1,10 @@
 """Caching and energy-management policies.
 
-Planning functions are pure: they look at state and return plans or
-decisions, never mutating stations. The epoch-scale planner decides
-sleep/active modes and user quotas from the energy outlook; the
-step-scale controller throttles the actual serving level to what the
-battery and the instantaneous harvest can afford.
+Planning functions are pure: they look at arrays of station state and
+return plans or decisions, never mutating caches. The epoch-scale planner
+decides which stations stay active and their user quotas from the energy
+outlook; the step-scale controller throttles the actual serving level to
+what the battery and the instantaneous harvest can afford.
 """
 from __future__ import annotations
 
@@ -13,12 +13,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .catalog import Catalog
-from .station import Mode, PowerModel, StationState
+from .station import CacheStore, PowerModel
 
 __all__ = [
     "BackhaulBudget",
-    "ModePlan",
-    "PowerPlan",
     "SmallStepPlan",
     "DEFAULT_LOW_WATERMARK",
     "DEFAULT_HIGH_WATERMARK",
@@ -58,16 +56,6 @@ class BackhaulBudget:
         """Draw one epoch's realized budget; consumes one uniform."""
         lo, hi = self.variability
         return int(round(self.files_per_epoch * (lo + (hi - lo) * rng.random())))
-
-
-@dataclass(frozen=True)
-class ModePlan:
-    modes: tuple[Mode, ...]
-
-
-@dataclass(frozen=True)
-class PowerPlan:
-    quotas: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -119,61 +107,49 @@ def plan_popular_update(
 
 def plan_prefetch(
     predictions: list[tuple[int, int, float]],
-    stations: list[StationState],
+    caches: list[CacheStore],
     budget_per_station: int,
-    horizon: float = np.inf,
 ) -> dict[int, list[int]]:
     """Pick contents to stage ahead of predicted handovers.
 
     ``predictions`` holds ``(content, station_index, eta)`` triples;
-    sooner arrivals win scarce budget. Contents already in either cache
-    partition of the destination are skipped, as are duplicates within
-    the plan. Returns station index -> ordered fetch list.
+    sooner arrivals win scarce budget. Contents already in either
+    partition of the destination's cache are skipped, as are duplicates
+    within the plan. Returns station index -> ordered fetch list.
     """
     if budget_per_station < 0:
         raise ValueError("budget_per_station must be >= 0")
     plan: dict[int, list[int]] = {}
-    order = sorted(
-        (p for p in predictions if p[2] <= horizon), key=lambda p: (p[2], p[1], p[0])
-    )
-    for content, st_idx, _eta in order:
+    for content, st_idx, _eta in sorted(predictions, key=lambda p: (p[2], p[1], p[0])):
         picks = plan.setdefault(st_idx, [])
         if len(picks) >= budget_per_station:
             continue
-        if stations[st_idx].cache.contains(content) or content in picks:
+        if caches[st_idx].contains(content) or content in picks:
             continue
         picks.append(content)
     return {k: v for k, v in plan.items() if v}
 
 
 def sustainable_large_step(
-    stations: list[StationState],
-    battery_levels: np.ndarray,
-    forecast: np.ndarray,
+    power: PowerModel,
+    levels: np.ndarray,
+    forecast: float | np.ndarray,
     epoch_seconds: float,
-) -> tuple[ModePlan, PowerPlan]:
+) -> tuple[np.ndarray, np.ndarray]:
     """Epoch plan: sleep stations that cannot sustain their constant draw.
 
     The sustainable rate ``r`` is the stored energy spread over the epoch
-    plus the forecast harvest. A station sleeps when ``r`` falls short of
-    the constant power floor; otherwise its user quota is the largest
-    load whose linear draw stays within ``min(r, 1.0)``.
+    plus the forecast harvest, per station (``forecast`` may be one value
+    for all). A station sleeps when ``r`` falls short of the constant
+    power floor; otherwise its user quota is the largest load whose linear
+    draw stays within ``min(r, 1.0)``. Returns ``(active, quotas)``: a
+    bool and an int64 array over the stations, quota 0 when asleep.
     """
-    levels = np.asarray(battery_levels, dtype=np.float64)
-    fc = np.broadcast_to(np.asarray(forecast, dtype=np.float64), levels.shape)
-    modes = []
-    quotas = []
-    for i, st in enumerate(stations):
-        pm = st.power
-        r = levels[i] / epoch_seconds + fc[i]
-        if r < pm.p_const:
-            modes.append(Mode.SLEEP)
-            quotas.append(0)
-        else:
-            q = int(np.floor((min(r, 1.0) - pm.p_const) / pm.p_per_user + _FLOOR_EPS))
-            modes.append(Mode.ACTIVE)
-            quotas.append(min(pm.max_users, max(q, 0)))
-    return ModePlan(tuple(modes)), PowerPlan(tuple(quotas))
+    r = np.asarray(levels, dtype=np.float64) / epoch_seconds + forecast
+    active = r >= power.p_const
+    q = np.floor((np.minimum(r, 1.0) - power.p_const) / power.p_per_user + _FLOOR_EPS)
+    quotas = np.where(active, np.clip(q, 0, power.max_users), 0).astype(np.int64)
+    return active, quotas
 
 
 def sustainable_small_step(
@@ -211,11 +187,9 @@ def sustainable_small_step(
     )
 
 
-def greedy_large_step(stations: list[StationState]) -> tuple[ModePlan, PowerPlan]:
+def greedy_large_step(power: PowerModel, n_stations: int) -> tuple[np.ndarray, np.ndarray]:
     """Baseline epoch plan: everything active, hardware-cap quota."""
-    modes = tuple(Mode.ACTIVE for _ in stations)
-    quotas = tuple(st.power.max_users for st in stations)
-    return ModePlan(modes), PowerPlan(quotas)
+    return np.ones(n_stations, dtype=bool), np.full(n_stations, power.max_users, dtype=np.int64)
 
 
 def greedy_small_step(

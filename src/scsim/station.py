@@ -1,31 +1,13 @@
-"""Caching station model: power law, split cache, admission control."""
+"""Caching station model: power law and split cache."""
 from __future__ import annotations
 
-import enum
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .energy import Battery
-from .mobility import Vehicle
-
-__all__ = [
-    "Mode",
-    "PowerModel",
-    "CacheStore",
-    "StationState",
-    "power_draw",
-    "cache_contains",
-    "admit",
-    "mbs_serve",
-]
-
-
-class Mode(enum.Enum):
-    ACTIVE = "active"
-    SLEEP = "sleep"
+__all__ = ["PowerModel", "CacheStore"]
 
 
 @dataclass(frozen=True)
@@ -115,56 +97,3 @@ class CacheStore:
         if self.mask is not None:
             self.mask[content] = True
         return evicted
-
-
-@dataclass
-class StationState:
-    """Mutable per-station snapshot used by the policy layer.
-
-    ``battery`` is optional because the simulation engine accounts for
-    energy in a shared per-run bank; standalone uses may attach one.
-    """
-
-    index: int
-    cache: CacheStore
-    power: PowerModel = PowerModel()
-    mode: Mode = Mode.ACTIVE
-    quota: int = 0
-    served: int = 0
-    battery: Battery | None = None
-
-
-def power_draw(state: StationState) -> float:
-    """Requested power for the current step given mode and served load."""
-    if state.mode is Mode.SLEEP:
-        return state.power.p_sleep
-    return state.power.p_const + state.served * state.power.p_per_user
-
-
-def cache_contains(state: StationState, content: int) -> bool:
-    return state.cache.contains(content)
-
-
-def admit(state: StationState, candidates: list[Vehicle]) -> tuple[list[Vehicle], list[Vehicle]]:
-    """Select which in-cell vehicles this station serves this step.
-
-    Only cache hits are eligible; they are admitted in (entry_time,
-    position) order up to ``min(quota, max_users)``. Everything else
-    (misses and overflow hits) is rejected and falls back to the MBS.
-    """
-    if state.mode is Mode.SLEEP:
-        return [], list(candidates)
-    hits = [v for v in candidates if state.cache.contains(v.active_content)]
-    hits.sort(key=lambda v: (v.entry_time, v.position))
-    cap = min(state.quota, state.power.max_users)
-    served = hits[: max(cap, 0)]
-    chosen = set(id(v) for v in served)
-    rejected = [v for v in candidates if id(v) not in chosen]
-    return served, rejected
-
-
-def mbs_serve(requests: int) -> tuple[int, int]:
-    """Macro-cell fallback: serves everything, one backhaul fetch each."""
-    if requests < 0:
-        raise ValueError("requests must be >= 0")
-    return requests, requests

@@ -21,7 +21,7 @@ from scsim.policy import (
     sustainable_large_step,
     sustainable_small_step,
 )
-from scsim.station import CacheStore, Mode, StationState
+from scsim.station import CacheStore
 
 
 def reference_run(scenario, step_hook=None):
@@ -34,14 +34,7 @@ def reference_run(scenario, step_hook=None):
     pm = sc.power
 
     masks = np.zeros((n_stations, sc.n_files + 1), dtype=bool)
-    stations = [
-        StationState(
-            index=i,
-            cache=CacheStore(sc.cache_capacity, sc.split_ratio, mask=masks[i]),
-            power=pm,
-        )
-        for i in range(n_stations)
-    ]
+    caches = [CacheStore(sc.cache_capacity, sc.split_ratio, mask=masks[i]) for i in range(n_stations)]
     bank = Battery(level=np.zeros(n_stations), capacity=sc.battery_capacity)
 
     sustainable = sc.policy == "sustainable"
@@ -49,7 +42,7 @@ def reference_run(scenario, step_hook=None):
     n_sub = sc.epoch_seconds // sc.step_seconds
     n_epochs = sc.duration // sc.epoch_seconds
     prefetch_on = (
-        sc.prefetch_budget > 0 and stations[0].cache.prefetch_capacity > 0 and sc.cache_capacity > 0
+        sc.prefetch_budget > 0 and caches[0].prefetch_capacity > 0 and sc.cache_capacity > 0
     )
     forecast = np.empty(n_stations)
 
@@ -63,24 +56,19 @@ def reference_run(scenario, step_hook=None):
         density = sc.traffic.base_density * traffic_multiplier(sc.traffic, float(t0))
         vehicles = spawn_vehicles(density, hw, catalog, rng, speed=sc.speed, entry_time=float(t0))
         budgets = [sc.backhaul.realize(rng) for _ in range(n_stations)]
-        for st, budget in zip(stations, budgets):
+        for cache, budget in zip(caches, budgets):
             evict, fetch = plan_popular_update(
-                st.cache.popular, catalog, budget, st.cache.popular_capacity
+                cache.popular, catalog, budget, cache.popular_capacity
             )
-            st.cache.apply_popular_update(evict, fetch)
+            cache.apply_popular_update(evict, fetch)
 
         forecast[:] = mean_rate(sc.energy, float(t0), float(t0 + sc.epoch_seconds))
         if sustainable:
-            mode_plan, power_plan = sustainable_large_step(
-                stations, bank.level, forecast, float(sc.epoch_seconds)
+            active, quotas = sustainable_large_step(
+                pm, bank.level, forecast, float(sc.epoch_seconds)
             )
         else:
-            mode_plan, power_plan = greedy_large_step(stations)
-        for st, mode, quota in zip(stations, mode_plan.modes, power_plan.quotas):
-            st.mode = mode
-            st.quota = quota
-        active = np.array([m is Mode.ACTIVE for m in mode_plan.modes])
-        quotas = np.array(power_plan.quotas, dtype=np.int64)
+            active, quotas = greedy_large_step(pm, n_stations)
         all_active = bool(active.all())
 
         n_veh = vehicles.n
@@ -129,9 +117,9 @@ def reference_run(scenario, step_hook=None):
                             for k, i in enumerate(idx)
                         ]
                         for st_idx, picks in plan_prefetch(
-                            triples, stations, sc.prefetch_budget, horizon=dt
+                            triples, caches, sc.prefetch_budget
                         ).items():
-                            cache = stations[st_idx].cache
+                            cache = caches[st_idx]
                             for content in picks:
                                 cache.prefetch_insert(content)
 

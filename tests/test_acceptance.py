@@ -23,7 +23,7 @@ from scsim.engine import (
 )
 from scsim.mobility import Highway, TrafficProfile
 from scsim.policy import BackhaulBudget, sustainable_large_step
-from scsim.station import CacheStore, PowerModel, StationState, Mode
+from scsim.station import PowerModel
 from scsim import cli
 
 
@@ -252,26 +252,25 @@ def test_a8_cap_law_property():
 
 def test_a9_sleep_rule_boundaries():
     power = PowerModel()
-    stations = [StationState(index=0, cache=CacheStore(0), power=power)]
 
     def plan(level, forecast, epoch=900.0):
-        modes, quotas = sustainable_large_step(
-            stations, np.array([level]), np.array([forecast]), epoch
+        active, quotas = sustainable_large_step(
+            power, np.array([level]), np.array([forecast]), epoch
         )
-        return modes.modes[0], quotas.quotas[0]
+        return ("ACTIVE" if active[0] else "SLEEP"), int(quotas[0])
 
     eps = 1e-9
     below = plan(0.0, power.p_const - eps)
     boundary = plan(0.0, power.p_const)
     full = plan(0.0, 1.0)
     ok = (
-        below == (Mode.SLEEP, 0)
-        and boundary == (Mode.ACTIVE, 0)
-        and full == (Mode.ACTIVE, 10)
+        below == ("SLEEP", 0)
+        and boundary == ("ACTIVE", 0)
+        and full == ("ACTIVE", 10)
     )
     verdict(
         "A9",
         ok,
-        f"r=p_const-eps -> {below[0].name}/{below[1]}, r=p_const -> "
-        f"{boundary[0].name}/{boundary[1]}, r=1.0 -> {full[0].name}/{full[1]}",
+        f"r=p_const-eps -> {below[0]}/{below[1]}, r=p_const -> "
+        f"{boundary[0]}/{boundary[1]}, r=1.0 -> {full[0]}/{full[1]}",
     )

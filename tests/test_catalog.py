@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from scsim.catalog import build_catalog, hit_rate, sample_request, sample_requests, top_k
+from scsim.catalog import build_catalog, hit_rate, sample_requests, top_k
 
 
 def zipf_mass(ids, n_files, gamma):
@@ -143,7 +143,7 @@ class TestSampleRequest:
         cat = build_catalog(100, 1.0)
         g1 = np.random.default_rng(7)
         g2 = np.random.default_rng(7)
-        sample_request(cat, g1)
+        sample_requests(cat, 1, g1)
         g2.random(1)
         assert g1.random() == g2.random()
 
@@ -167,4 +167,4 @@ class TestSampleRequest:
     def test_singleton_catalog(self):
         cat = build_catalog(1, 2.0)
         rng = np.random.default_rng(9)
-        assert sample_request(cat, rng) == 1
+        np.testing.assert_array_equal(sample_requests(cat, 1, rng), [1])

@@ -4,22 +4,27 @@ import numpy as np
 import pytest
 from scipy import stats
 
+from mobility_reference import advance, cell_index, predict_next_cell
 from scsim.catalog import build_catalog
 from scsim.mobility import (
     Highway,
     TrafficProfile,
-    Vehicle,
-    advance,
-    cell_index,
     cell_indices,
-    predict_handovers,
-    predict_next_cell,
+    handovers_from_arrays,
     spawn_vehicles,
     traffic_multiplier,
 )
 
 HW = Highway(n_stations=10, cell_length=1000.0)
 CAT = build_catalog(1000, 1.0)
+
+
+def next_cell(position, direction, speed=25.0):
+    """One-vehicle handover lookahead without a horizon."""
+    _, nxt, eta = handovers_from_arrays(
+        np.array([position]), np.array([direction]), np.array([speed]), HW, np.inf
+    )
+    return int(nxt[0]), float(eta[0])
 
 
 class TestHighway:
@@ -145,39 +150,27 @@ class TestAdvance:
         veh = spawn_vehicles(0.01, HW, CAT, np.random.default_rng(3))
         pos = veh.position.copy()
         pos[0] = 9990.0
-        veh = advance(
-            type(veh)(pos, np.abs(veh.direction), veh.speed, veh.active_content, veh.entry_time),
-            1.0,
-            HW,
-        )
-        assert veh.position[0] == pytest.approx(15.0, abs=1e-9)
+        veh = type(veh)(pos, np.abs(veh.direction), veh.speed, veh.active_content, veh.entry_time)
+        assert veh.positions_at(1.0, HW)[0] == pytest.approx(15.0, abs=1e-9)
 
     def test_round_trip_returns_home(self):
         veh = spawn_vehicles(0.01, HW, CAT, np.random.default_rng(3))
         lap = HW.length / 25.0
-        moved = advance(veh, lap, HW)
-        np.testing.assert_allclose(moved.position, veh.position, atol=1e-6)
+        np.testing.assert_allclose(veh.positions_at(lap, HW), veh.position, atol=1e-6)
 
     def test_positions_at_matches_repeated_advance(self):
         veh = spawn_vehicles(0.02, HW, CAT, np.random.default_rng(7))
-        stepwise = veh
+        stepwise = veh.position
         for _ in range(50):
-            stepwise = advance(stepwise, 1.0, HW)
+            stepwise = advance(stepwise, veh.direction, veh.speed, 1.0, HW)
         direct = veh.positions_at(50.0, HW)
-        np.testing.assert_allclose(stepwise.position, direct, atol=1e-7)
+        np.testing.assert_allclose(stepwise, direct, atol=1e-7)
 
 
 class TestCellIndex:
     def test_boundary_belongs_to_higher_cell(self):
-        assert cell_index(1000.0, HW) == 1
-        assert cell_index(999.9999, HW) == 0
-        assert cell_index(0.0, HW) == 0
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            cell_index(-1.0, HW)
-        with pytest.raises(ValueError):
-            cell_index(HW.length, HW)
+        got = cell_indices(np.array([1000.0, 999.9999, 0.0]), HW)
+        np.testing.assert_array_equal(got, [1, 0, 0])
 
     def test_vectorised_matches_scalar(self):
         rng = np.random.default_rng(9)
@@ -189,60 +182,62 @@ class TestCellIndex:
 
 class TestPredictNextCell:
     def test_forward_midcell(self):
-        nxt, eta = predict_next_cell(Vehicle(1500.0, 1, 25.0, 1), HW)
+        nxt, eta = next_cell(1500.0, 1)
         assert nxt == 2
         assert eta == pytest.approx(20.0, abs=1e-12)
 
     def test_backward_midcell(self):
-        nxt, eta = predict_next_cell(Vehicle(1500.0, -1, 25.0, 1), HW)
+        nxt, eta = next_cell(1500.0, -1)
         assert nxt == 0
         assert eta == pytest.approx(20.0, abs=1e-12)
 
     def test_forward_on_boundary_has_full_cell_ahead(self):
-        nxt, eta = predict_next_cell(Vehicle(1000.0, 1, 25.0, 1), HW)
+        nxt, eta = next_cell(1000.0, 1)
         assert nxt == 2
         assert eta == pytest.approx(HW.cell_length / 25.0, abs=1e-12)
 
     def test_backward_on_boundary_exits_immediately(self):
-        nxt, eta = predict_next_cell(Vehicle(1000.0, -1, 25.0, 1), HW)
+        nxt, eta = next_cell(1000.0, -1)
         assert nxt == 0
         assert eta == 0.0
 
     def test_wraps_around_ring_seam(self):
-        nxt, eta = predict_next_cell(Vehicle(9990.0, 1, 25.0, 1), HW)
+        nxt, eta = next_cell(9990.0, 1)
         assert nxt == 0
         assert eta == pytest.approx(0.4, abs=1e-12)
-        nxt, eta = predict_next_cell(Vehicle(5.0, -1, 25.0, 1), HW)
+        nxt, eta = next_cell(5.0, -1)
         assert nxt == 9
         assert eta == pytest.approx(0.2, abs=1e-12)
 
     def test_eta_lands_on_shared_boundary(self):
         """Advancing by eta puts the vehicle within 1e-9 m of the boundary."""
         rng = np.random.default_rng(12)
-        for _ in range(300):
-            v = Vehicle(
-                position=float(rng.random() * HW.length),
-                direction=int(rng.choice([-1, 1])),
-                speed=float(1.0 + rng.random() * 40.0),
-                active_content=1,
-            )
-            _, eta = predict_next_cell(v, HW)
-            landed = (v.position + v.direction * v.speed * eta) % HW.length
-            off = landed % HW.cell_length
-            assert min(off, HW.cell_length - off) < 1e-9
+        position = rng.random(300) * HW.length
+        direction = rng.choice([-1, 1], size=300)
+        speed = 1.0 + rng.random(300) * 40.0
+        idx, _, eta = handovers_from_arrays(position, direction, speed, HW, np.inf)
+        assert idx.size == 300
+        landed = (position + direction * speed * eta) % HW.length
+        off = landed % HW.cell_length
+        assert np.all(np.minimum(off, HW.cell_length - off) < 1e-9)
 
     def test_vectorised_matches_scalar(self):
         veh = spawn_vehicles(0.02, HW, CAT, np.random.default_rng(13))
-        idx, nxt, eta = predict_handovers(veh, HW, horizon=np.inf)
+        idx, nxt, eta = handovers_from_arrays(veh.position, veh.direction, veh.speed, HW, np.inf)
         assert idx.size == veh.n
         for k in range(veh.n):
-            want_nxt, want_eta = predict_next_cell(veh[k], HW)
+            want_nxt, want_eta = predict_next_cell(
+                float(veh.position[k]), int(veh.direction[k]), float(veh.speed[k]), HW
+            )
             assert nxt[k] == want_nxt
             assert eta[k] == pytest.approx(want_eta, abs=1e-9)
 
     def test_horizon_filters(self):
         veh = spawn_vehicles(0.02, HW, CAT, np.random.default_rng(14))
-        idx, _, eta = predict_handovers(veh, HW, horizon=1.0)
+        idx, _, eta = handovers_from_arrays(veh.position, veh.direction, veh.speed, HW, horizon=1.0)
         assert np.all(eta <= 1.0)
-        _, full_eta = zip(*(predict_next_cell(veh[k], HW) for k in range(veh.n)))
+        full_eta = [
+            predict_next_cell(float(p), int(d), float(v), HW)[1]
+            for p, d, v in zip(veh.position, veh.direction, veh.speed)
+        ]
         assert idx.size == int((np.asarray(full_eta) <= 1.0).sum())

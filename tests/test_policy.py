@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from scsim.catalog import build_catalog, hit_rate
-from scsim.energy import Battery
 from scsim.policy import (
     DEFAULT_HIGH_WATERMARK,
     DEFAULT_LOW_WATERMARK,
@@ -16,16 +15,16 @@ from scsim.policy import (
     sustainable_large_step,
     sustainable_small_step,
 )
-from scsim.station import CacheStore, Mode, PowerModel, StationState
+from scsim.station import CacheStore, PowerModel
 
 CAT = build_catalog(1000, 1.0)
 PM = PowerModel()
 
 
-def station(index=0, capacity=10, split=0.8, popular=()):
-    st = StationState(index=index, cache=CacheStore(capacity, split), battery=Battery())
-    st.cache.apply_popular_update([], list(popular))
-    return st
+def cache(capacity=10, split=0.8, popular=()):
+    c = CacheStore(capacity, split)
+    c.apply_popular_update([], list(popular))
+    return c
 
 
 class TestBackhaulBudget:
@@ -107,70 +106,68 @@ class TestPlanPopularUpdate:
 
 class TestPlanPrefetch:
     def test_sooner_arrival_wins_budget(self):
-        stations = [station(i) for i in range(4)]
+        caches = [cache() for _ in range(4)]
         preds = [(101, 3, 5.0), (202, 3, 2.0)]
-        plan = plan_prefetch(preds, stations, budget_per_station=1)
+        plan = plan_prefetch(preds, caches, budget_per_station=1)
         assert plan == {3: [202]}
 
     def test_cached_content_skipped(self):
-        stations = [station(0, popular=[7])]
-        plan = plan_prefetch([(7, 0, 1.0)], stations, budget_per_station=5)
+        caches = [cache(popular=[7])]
+        plan = plan_prefetch([(7, 0, 1.0)], caches, budget_per_station=5)
         assert plan == {}
-        stations[0].cache.prefetch_insert(9)
-        assert plan_prefetch([(9, 0, 1.0)], stations, budget_per_station=5) == {}
+        caches[0].prefetch_insert(9)
+        assert plan_prefetch([(9, 0, 1.0)], caches, budget_per_station=5) == {}
 
     def test_duplicate_predictions_coalesce(self):
-        stations = [station(0)]
-        plan = plan_prefetch([(5, 0, 1.0), (5, 0, 2.0)], stations, budget_per_station=5)
+        caches = [cache()]
+        plan = plan_prefetch([(5, 0, 1.0), (5, 0, 2.0)], caches, budget_per_station=5)
         assert plan == {0: [5]}
 
-    def test_horizon_filter(self):
-        stations = [station(0)]
-        plan = plan_prefetch([(5, 0, 3.0)], stations, budget_per_station=5, horizon=1.0)
-        assert plan == {}
-
     def test_independent_budgets_per_station(self):
-        stations = [station(i) for i in range(2)]
+        caches = [cache() for _ in range(2)]
         preds = [(1, 0, 1.0), (2, 0, 2.0), (3, 1, 3.0)]
-        plan = plan_prefetch(preds, stations, budget_per_station=1)
+        plan = plan_prefetch(preds, caches, budget_per_station=1)
         assert plan == {0: [1], 1: [3]}
 
 
 class TestSustainableLargeStep:
     def test_sleeps_without_energy(self):
-        st = [station(0)]
-        modes, quotas = sustainable_large_step(st, np.array([0.0]), np.array([0.0]), 900.0)
-        assert modes.modes == (Mode.SLEEP,)
-        assert quotas.quotas == (0,)
+        active, quotas = sustainable_large_step(PM, np.array([0.0]), np.array([0.0]), 900.0)
+        assert active.tolist() == [False]
+        assert quotas.tolist() == [0]
 
     def test_boundary_exactly_constant_power(self):
         """r == p_const keeps the station awake with a zero quota."""
-        st = [station(0)]
-        modes, quotas = sustainable_large_step(st, np.array([0.0]), np.array([0.5]), 900.0)
-        assert modes.modes == (Mode.ACTIVE,)
-        assert quotas.quotas == (0,)
+        active, quotas = sustainable_large_step(PM, np.array([0.0]), np.array([0.5]), 900.0)
+        assert active.tolist() == [True]
+        assert quotas.tolist() == [0]
 
     def test_boundary_epsilon_below_sleeps(self):
-        st = [station(0)]
-        modes, _ = sustainable_large_step(st, np.array([0.0]), np.array([0.5 - 1e-9]), 900.0)
-        assert modes.modes == (Mode.SLEEP,)
+        active, _ = sustainable_large_step(PM, np.array([0.0]), np.array([0.5 - 1e-9]), 900.0)
+        assert active.tolist() == [False]
 
     def test_full_rate_grants_hardware_quota(self):
-        st = [station(0)]
-        _, quotas = sustainable_large_step(st, np.array([0.0]), np.array([1.0]), 900.0)
-        assert quotas.quotas == (10,)
+        _, quotas = sustainable_large_step(PM, np.array([0.0]), np.array([1.0]), 900.0)
+        assert quotas.tolist() == [10]
 
     def test_battery_contributes_spread_over_epoch(self):
-        st = [station(0)]
         # 900 s * 0.75 power-units of stored energy alone sustains 0.75
-        modes, quotas = sustainable_large_step(st, np.array([675.0]), np.array([0.0]), 900.0)
-        assert modes.modes == (Mode.ACTIVE,)
-        assert quotas.quotas == (5,)
+        active, quotas = sustainable_large_step(PM, np.array([675.0]), np.array([0.0]), 900.0)
+        assert active.tolist() == [True]
+        assert quotas.tolist() == [5]
 
     def test_rate_capped_at_full_draw(self):
-        st = [station(0)]
-        _, quotas = sustainable_large_step(st, np.array([1e9]), np.array([5.0]), 900.0)
-        assert quotas.quotas == (10,)
+        _, quotas = sustainable_large_step(PM, np.array([1e9]), np.array([5.0]), 900.0)
+        assert quotas.tolist() == [10]
+
+    def test_one_call_plans_each_station_on_its_own(self):
+        """Sleeping, boundary, partial and full-quota stations in one plan."""
+        levels = np.array([0.0, 0.0, 675.0, 0.0, 1e9, 90.0])
+        forecast = np.array([0.5 - 1e-9, 0.5, 0.0, 1.0, 5.0, 0.3])
+        active, quotas = sustainable_large_step(PM, levels, forecast, 900.0)
+        assert active.dtype == bool and quotas.dtype == np.int64
+        assert active.tolist() == [False, True, True, True, True, False]
+        assert quotas.tolist() == [0, 0, 5, 10, 10, 0]
 
 
 class TestSustainableSmallStep:
@@ -226,10 +223,9 @@ class TestSustainableSmallStep:
 
 class TestGreedy:
     def test_large_step_always_active_full_quota(self):
-        st = [station(i) for i in range(3)]
-        modes, quotas = greedy_large_step(st)
-        assert modes.modes == (Mode.ACTIVE,) * 3
-        assert quotas.quotas == (10, 10, 10)
+        active, quotas = greedy_large_step(PM, 3)
+        assert active.tolist() == [True] * 3
+        assert quotas.tolist() == [10, 10, 10]
 
     def test_midnight_outage(self):
         assert greedy_small_step(PM, offered_hits=5, delivered=0.0) == 0

@@ -3,30 +3,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from scsim.energy import Battery
-from scsim.mobility import Vehicle
-from scsim.station import (
-    CacheStore,
-    Mode,
-    PowerModel,
-    StationState,
-    admit,
-    cache_contains,
-    mbs_serve,
-    power_draw,
-)
-
-
-def make_station(capacity=10, split=0.8, quota=10, mode=Mode.ACTIVE, popular=()):
-    st = StationState(
-        index=0,
-        cache=CacheStore(capacity, split),
-        mode=mode,
-        quota=quota,
-        battery=Battery(),
-    )
-    st.cache.apply_popular_update([], list(popular))
-    return st
+from scsim.station import CacheStore, PowerModel
 
 
 class TestPowerModel:
@@ -41,18 +18,6 @@ class TestPowerModel:
     def test_rejects_sleep_above_const(self):
         with pytest.raises(ValueError):
             PowerModel(p_const=0.5, p_sleep=0.5)
-
-    def test_draw_levels(self):
-        st = make_station()
-        st.mode = Mode.SLEEP
-        assert power_draw(st) == pytest.approx(0.01, abs=1e-12)
-        st.mode = Mode.ACTIVE
-        st.served = 0
-        assert power_draw(st) == pytest.approx(0.5, abs=1e-12)
-        st.served = 10
-        assert power_draw(st) == pytest.approx(1.0, abs=1e-12)
-        st.served = 4
-        assert power_draw(st) == pytest.approx(0.7, abs=1e-12)
 
 
 class TestCacheStore:
@@ -120,71 +85,3 @@ class TestCacheStore:
             CacheStore(-1)
         with pytest.raises(ValueError):
             CacheStore(10, split_ratio=1.5)
-
-
-class TestAdmit:
-    def test_earliest_entry_then_position_wins(self):
-        st = make_station(quota=1, popular=[1])
-        a = Vehicle(500.0, 1, 25.0, 1, entry_time=10.0)
-        b = Vehicle(100.0, 1, 25.0, 1, entry_time=5.0)
-        c = Vehicle(50.0, 1, 25.0, 1, entry_time=10.0)
-        served, rejected = admit(st, [a, b, c])
-        assert served == [b]
-        assert set(id(v) for v in rejected) == {id(a), id(c)}
-        st.quota = 2
-        served, _ = admit(st, [a, b, c])
-        assert served == [b, c]  # tie on entry_time broken by position
-
-    def test_misses_never_admitted(self):
-        st = make_station(quota=10, popular=[1])
-        hit = Vehicle(10.0, 1, 25.0, 1)
-        miss = Vehicle(20.0, 1, 25.0, 999)
-        served, rejected = admit(st, [hit, miss])
-        assert served == [hit]
-        assert rejected == [miss]
-
-    def test_quota_and_max_users_cap(self):
-        st = make_station(quota=3, popular=[1])
-        vehicles = [Vehicle(float(i), 1, 25.0, 1, entry_time=0.0) for i in range(8)]
-        served, rejected = admit(st, vehicles)
-        assert len(served) == 3 and len(rejected) == 5
-        st.quota = 99  # beyond max_users; hardware cap still binds
-        served, _ = admit(st, [Vehicle(float(i), 1, 25.0, 1) for i in range(15)])
-        assert len(served) == 10
-
-    def test_sleeping_station_serves_nothing(self):
-        st = make_station(mode=Mode.SLEEP, popular=[1])
-        served, rejected = admit(st, [Vehicle(10.0, 1, 25.0, 1)])
-        assert served == [] and len(rejected) == 1
-
-    def test_cap_law_random_cases(self):
-        rng = np.random.default_rng(17)
-        for _ in range(200):
-            quota = int(rng.integers(0, 15))
-            popular = list(range(1, int(rng.integers(1, 6))))
-            st = make_station(quota=quota, popular=popular)
-            vehicles = [
-                Vehicle(float(rng.random() * 1000), 1, 25.0, int(rng.integers(1, 9)),
-                        entry_time=float(rng.integers(0, 3)))
-                for _ in range(int(rng.integers(0, 25)))
-            ]
-            served, rejected = admit(st, vehicles)
-            hits = [v for v in vehicles if st.cache.contains(v.active_content)]
-            assert len(served) == min(len(hits), quota, 10)
-            assert all(st.cache.contains(v.active_content) for v in served)
-            assert len(served) + len(rejected) == len(vehicles)
-
-    def test_cache_contains_delegates(self):
-        st = make_station(popular=[2])
-        assert cache_contains(st, 2)
-        assert not cache_contains(st, 3)
-
-
-class TestMbsServe:
-    def test_serves_everything_with_backhaul(self):
-        assert mbs_serve(0) == (0, 0)
-        assert mbs_serve(17) == (17, 17)
-
-    def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            mbs_serve(-1)
