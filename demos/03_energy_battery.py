@@ -11,20 +11,19 @@ from pathlib import Path
 
 import numpy as np
 
-from scsim import Battery, EnergyProfile, battery_step, harvest_rate, ledger_residual
+from scsim import Battery, EnergyProfile, battery_step, harvest_rates, ledger_residual
 from scsim.svgplot import render_line_chart
 
 
 def trace(draw: float, dt: float = 60.0):
     profile = EnergyProfile()
     batt = Battery(level=0.0)
-    hours, levels = [], []
-    for step in range(int(86400 / dt)):
-        t = step * dt
-        battery_step(batt, harvest_rate(profile, t), draw, dt)
-        hours.append((t + dt) / 3600.0)
+    ts = np.arange(int(86400 / dt)) * dt
+    levels = []
+    for harvest in harvest_rates(profile, ts).tolist():
+        battery_step(batt, harvest, draw, dt)
         levels.append(float(batt.level) / 3600.0)
-    return batt, hours, levels
+    return batt, ((ts + dt) / 3600.0).tolist(), levels
 
 
 def main() -> None:

@@ -11,7 +11,7 @@ and a small CLI that emits CSV metrics and SVG plots.
 
 from .catalog import Catalog, build_catalog, hit_rate, sample_requests, top_k
 from .config import ConfigError, RunSettings, parse_config, parse_settings
-from .energy import Battery, EnergyProfile, battery_step, harvest_rate, ledger_residual, mean_rate
+from .energy import Battery, EnergyProfile, battery_step, harvest_rates, ledger_residual, mean_rate
 from .engine import (
     EnergyComparison,
     EpochMetrics,
@@ -58,7 +58,7 @@ __all__ = [
     "EnergyProfile",
     "Battery",
     "battery_step",
-    "harvest_rate",
+    "harvest_rates",
     "mean_rate",
     "ledger_residual",
     "PowerModel",

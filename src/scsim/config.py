@@ -124,8 +124,8 @@ SCHEMA = {
         "backhaul_variability_min": (_parse_float, 0.5, "lower budget factor per epoch"),
         "backhaul_variability_max": (_parse_float, 1.0, "upper budget factor per epoch"),
         "prefetch_budget": (_parse_int, 2, "prefetch fetches per station per step"),
-        "low_watermark": (_parse_float, 360.0, "battery level flagging best-effort deferral"),
-        "high_watermark": (_parse_float, 3240.0, "battery level enabling content pushing"),
+        "low_watermark": (_parse_float, 360.0, "battery level; active station-steps that start below it count as defers"),
+        "high_watermark": (_parse_float, 3240.0, "battery level; active station-steps that start above it count as pushes"),
         "greedy_partial": (_parse_bool, False, "let the greedy baseline degrade gracefully"),
     },
     "engine": {

@@ -15,7 +15,6 @@ import numpy as np
 __all__ = [
     "EnergyProfile",
     "Battery",
-    "harvest_rate",
     "harvest_rates",
     "mean_rate",
     "battery_step",
@@ -44,25 +43,12 @@ class EnergyProfile:
             raise ValueError("sunset_h must be later than sunrise_h")
 
 
-def harvest_rate(profile: EnergyProfile, t: float) -> float:
-    """Instantaneous harvest power at ``t`` seconds of day (wraps daily).
+def harvest_rates(profile: EnergyProfile, ts: np.ndarray) -> np.ndarray:
+    """Instantaneous harvest power at each of ``ts`` seconds of day (wraps daily).
 
     The solar shape is a half sine between sunrise and sunset, peaking at
     ``peak_rate`` at midday, zero outside daylight.
     """
-    if profile.kind == "zero":
-        return 0.0
-    if profile.kind == "constant":
-        return profile.peak_rate
-    hour = (t / 3600.0) % 24.0
-    if hour < profile.sunrise_h or hour > profile.sunset_h:
-        return 0.0
-    phase = math.pi * (hour - profile.sunrise_h) / (profile.sunset_h - profile.sunrise_h)
-    return max(0.0, profile.peak_rate * math.sin(phase))
-
-
-def harvest_rates(profile: EnergyProfile, ts: np.ndarray) -> np.ndarray:
-    """Vectorised :func:`harvest_rate` over an array of times."""
     ts = np.asarray(ts, dtype=np.float64)
     if profile.kind == "zero":
         return np.zeros_like(ts)

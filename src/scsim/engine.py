@@ -44,8 +44,6 @@ from .mobility import (
     traffic_multiplier,
 )
 from .policy import (
-    DEFAULT_HIGH_WATERMARK,
-    DEFAULT_LOW_WATERMARK,
     BackhaulBudget,
     greedy_large_step,
     greedy_small_step,
@@ -97,8 +95,8 @@ class Scenario:
     split_ratio: float = 0.8
     backhaul: BackhaulBudget = BackhaulBudget()
     prefetch_budget: int = 2
-    low_watermark: float = DEFAULT_LOW_WATERMARK
-    high_watermark: float = DEFAULT_HIGH_WATERMARK
+    low_watermark: float = 0.1 * 3600.0
+    high_watermark: float = 0.9 * 3600.0
     greedy_partial: bool = False
     policy: str = "sustainable"
     epoch_seconds: int = 900
@@ -129,8 +127,8 @@ class Scenario:
             raise ValueError("prefetch_budget must be >= 0")
         if not 0.0 <= self.low_watermark <= self.high_watermark:
             raise ValueError("watermarks must satisfy 0 <= low <= high")
-        if not self.speed > 0:
-            raise ValueError("speed must be > 0")
+        if not 0 < self.speed < math.inf:
+            raise ValueError(f"speed must be finite and > 0, got {self.speed}")
         if not self.battery_capacity > 0:
             raise ValueError("battery_capacity must be > 0 (inf for unbounded)")
         if self.n_files < 1:
@@ -227,7 +225,7 @@ def _demand_pass(sc: Scenario) -> Iterator[DemandEpoch]:
     for e in range(sc.duration // sc.epoch_seconds):
         t0 = e * sc.epoch_seconds
         density = sc.traffic.base_density * traffic_multiplier(sc.traffic, float(t0))
-        vehicles = spawn_vehicles(density, hw, catalog, rng, speed=sc.speed, entry_time=float(t0))
+        vehicles = spawn_vehicles(density, hw, catalog, rng, speed=sc.speed)
         budgets = [sc.backhaul.realize(rng) for _ in range(n_stations)]
         for cache, budget in zip(caches, budgets):
             evict, fetch = plan_popular_update(cache.popular, catalog, budget, cache.popular_capacity)
@@ -415,10 +413,11 @@ class _EnergyPass:
     def _serve_sustainable(
         self, hits: np.ndarray, harvests: np.ndarray, active: np.ndarray, quotas: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """Step the rationed controller; returns per-step rows and flag counts.
+        """Step the rationed controller; returns per-step rows and watermark counts.
 
         Rows are ``(n_sub, n_stations)``: users served, delivered power,
-        and the battery level after each step.
+        and the battery level after each step. The counts are the active
+        station-steps that start above the high and below the low watermark.
         """
         sc = self.sc
         pm = sc.power
@@ -432,24 +431,18 @@ class _EnergyPass:
         all_active = bool(active.all())
         for s, harvest in enumerate(harvests.tolist()):
             if any_active:
-                plan = sustainable_small_step(
-                    pm, bank.level, harvest, hits[s], quotas, dt,
-                    sc.low_watermark, sc.high_watermark,
-                )
-                if all_active:
-                    served[s] = plan.served
-                    draw = plan.draw
-                else:
-                    served[s] = np.where(active, plan.served, 0)
+                step_served, draw = sustainable_small_step(pm, bank.level, harvest, hits[s], quotas, dt)
+                if not all_active:
+                    step_served = np.where(active, step_served, 0)
                     sleep_draw = np.minimum(pm.p_sleep, bank.level / dt + harvest)
-                    draw = np.where(active, plan.draw, sleep_draw)
+                    draw = np.where(active, draw, sleep_draw)
+                served[s] = step_served
             else:
                 draw = np.minimum(pm.p_sleep, bank.level / dt + harvest)
             _, delivered[s] = battery_step(bank, harvest, draw, dt)
             level[s] = bank.level
         if not any_active:
             return served, delivered, level, 0, 0
-        # the step plan flags deferral and pushing on the level each step starts from
         before = np.vstack((start_level[None, :], level[:-1]))
         pushes = int(np.count_nonzero((before > sc.high_watermark) & active))
         defers = int(np.count_nonzero((before < sc.low_watermark) & active))

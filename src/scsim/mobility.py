@@ -17,9 +17,6 @@ __all__ = [
     "handovers_from_arrays",
 ]
 
-SECONDS_PER_DAY = 86400.0
-
-
 @dataclass(frozen=True)
 class Highway:
     """Circular road divided into equal station cells.
@@ -35,8 +32,8 @@ class Highway:
     def __post_init__(self) -> None:
         if self.n_stations < 1:
             raise ValueError(f"n_stations must be >= 1, got {self.n_stations}")
-        if not self.cell_length > 0:
-            raise ValueError(f"cell_length must be > 0, got {self.cell_length}")
+        if not 0 < self.cell_length < np.inf:
+            raise ValueError(f"cell_length must be finite and > 0, got {self.cell_length}")
 
     @property
     def length(self) -> float:
@@ -51,7 +48,6 @@ class VehicleSet:
     direction: np.ndarray
     speed: np.ndarray
     active_content: np.ndarray
-    entry_time: np.ndarray
 
     @property
     def n(self) -> int:
@@ -116,7 +112,6 @@ def spawn_vehicles(
     catalog: Catalog,
     rng: np.random.Generator,
     speed: float = 25.0,
-    entry_time: float = 0.0,
 ) -> VehicleSet:
     """Populate the ring with exponential headways in both directions.
 
@@ -127,8 +122,8 @@ def spawn_vehicles(
     """
     if density < 0 or not np.isfinite(density):
         raise ValueError(f"density must be finite and >= 0, got {density}")
-    if not speed > 0:
-        raise ValueError(f"speed must be > 0, got {speed}")
+    if not 0 < speed < np.inf:
+        raise ValueError(f"speed must be finite and > 0, got {speed}")
     per_dir = []
     for _ in (1, -1):
         per_dir.append(_fill_ring(density, highway.length, rng))
@@ -141,7 +136,6 @@ def spawn_vehicles(
         direction=direction,
         speed=np.full(n_total, float(speed)),
         active_content=content,
-        entry_time=np.full(n_total, float(entry_time)),
     )
 
 

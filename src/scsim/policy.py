@@ -17,9 +17,6 @@ from .station import CacheStore, PowerModel
 
 __all__ = [
     "BackhaulBudget",
-    "SmallStepPlan",
-    "DEFAULT_LOW_WATERMARK",
-    "DEFAULT_HIGH_WATERMARK",
     "plan_popular_update",
     "plan_prefetch",
     "sustainable_large_step",
@@ -27,11 +24,6 @@ __all__ = [
     "greedy_large_step",
     "greedy_small_step",
 ]
-
-# Battery watermarks (energy units) for best-effort deferral and
-# proactive pushing, relative to one hour of full-load draw.
-DEFAULT_LOW_WATERMARK = 0.1 * 3600.0
-DEFAULT_HIGH_WATERMARK = 0.9 * 3600.0
 
 # Tolerance nudging floor() across exact integer boundaries that the
 # quota arithmetic hits by construction (e.g. 0.5 / 0.05).
@@ -56,16 +48,6 @@ class BackhaulBudget:
         """Draw one epoch's realized budget; consumes one uniform."""
         lo, hi = self.variability
         return int(round(self.files_per_epoch * (lo + (hi - lo) * rng.random())))
-
-
-@dataclass(frozen=True)
-class SmallStepPlan:
-    """Step decision for one station (or an array-vectorised bank)."""
-
-    served: int | np.ndarray
-    draw: float | np.ndarray
-    defer: bool | np.ndarray
-    push: bool | np.ndarray
 
 
 def plan_popular_update(
@@ -159,9 +141,7 @@ def sustainable_small_step(
     offered_hits: int | np.ndarray,
     quota: int | np.ndarray,
     dt: float,
-    low_watermark: float = DEFAULT_LOW_WATERMARK,
-    high_watermark: float = DEFAULT_HIGH_WATERMARK,
-) -> SmallStepPlan:
+) -> tuple[np.ndarray, np.ndarray]:
     """Step decision: serve as much offered traffic as is affordable now.
 
     Affordability counts the battery as drainable within one step plus
@@ -169,9 +149,10 @@ def sustainable_small_step(
     never exceeds that available rate, so the sustainable controller is
     outage-free by construction; when even the constant floor is not
     affordable the station browns out (draws what exists, serves nobody).
-    Below the low watermark the plan flags best-effort deferral, above
-    the high watermark proactive pushing. Scalar and array inputs are
-    both supported.
+    Returns ``(served, draw)``: users served and requested power, shaped
+    like the broadcast inputs. The engine, not this function, counts the
+    active station-steps that start above the high / below the low
+    battery watermark.
     """
     avail = battery_level / dt + harvest
     net = np.minimum(avail, 1.0) - power.p_const
@@ -179,12 +160,7 @@ def sustainable_small_step(
     affordable = np.maximum(affordable, 0)
     served = np.minimum(np.minimum(offered_hits, quota), affordable)
     draw = np.minimum(power.p_const + power.p_per_user * served, avail)
-    return SmallStepPlan(
-        served=served,
-        draw=draw,
-        defer=battery_level < low_watermark,
-        push=battery_level > high_watermark,
-    )
+    return served, draw
 
 
 def greedy_large_step(power: PowerModel, n_stations: int) -> tuple[np.ndarray, np.ndarray]:
@@ -197,7 +173,7 @@ def greedy_small_step(
     offered_hits: int | np.ndarray,
     delivered: float | np.ndarray,
     partial: bool = False,
-) -> int | np.ndarray:
+) -> np.ndarray:
     """Users actually served by the always-on baseline, given delivered power.
 
     The baseline requests full power every step regardless of load. By
@@ -211,9 +187,5 @@ def greedy_small_step(
     if partial:
         room = np.floor((delivered - power.p_const) / power.p_per_user + _FLOOR_EPS)
         room = np.maximum(room.astype(np.int64), 0)
-        served = np.where(delivered + 1e-12 >= power.p_const, np.minimum(target, room), 0)
-    else:
-        served = np.where(delivered + 1e-12 >= need, target, 0)
-    if np.isscalar(offered_hits) and np.isscalar(delivered):
-        return int(served)
-    return served
+        return np.where(delivered + 1e-12 >= power.p_const, np.minimum(target, room), 0)
+    return np.where(delivered + 1e-12 >= need, target, 0)

@@ -43,13 +43,14 @@ class CacheStore:
     The popular partition holds up to ``ceil(split_ratio * capacity)``
     ids and is rewritten by the epoch-scale update planner; the remainder
     of the capacity belongs to the prefetch FIFO, which evicts its oldest
-    entry when full. A membership mask row can be attached so bulk lookups
-    stay O(1) for the simulation loop.
+    entry when full. Every change is written through to ``mask``, a boolean
+    membership row indexed by content id, so bulk lookups stay O(1) for
+    the simulation loop.
     """
 
     __slots__ = ("capacity", "popular_capacity", "prefetch_capacity", "popular", "_fifo", "_fifo_set", "mask")
 
-    def __init__(self, capacity: int, split_ratio: float = 0.8, mask: np.ndarray | None = None):
+    def __init__(self, capacity: int, split_ratio: float = 0.8, *, mask: np.ndarray):
         if capacity < 0:
             raise ValueError("capacity must be >= 0")
         if not 0.0 <= split_ratio <= 1.0:
@@ -73,12 +74,11 @@ class CacheStore:
     def apply_popular_update(self, evict: list[int], fetch: list[int]) -> None:
         for c in evict:
             self.popular.discard(c)
-            if self.mask is not None and c not in self._fifo_set:
+            if c not in self._fifo_set:
                 self.mask[c] = False
         for c in fetch:
             self.popular.add(c)
-            if self.mask is not None:
-                self.mask[c] = True
+            self.mask[c] = True
         if len(self.popular) > self.popular_capacity:
             raise ValueError("popular partition overfull after update")
 
@@ -90,10 +90,9 @@ class CacheStore:
         if len(self._fifo) >= self.prefetch_capacity:
             evicted = self._fifo.popleft()
             self._fifo_set.discard(evicted)
-            if self.mask is not None and evicted not in self.popular:
+            if evicted not in self.popular:
                 self.mask[evicted] = False
         self._fifo.append(content)
         self._fifo_set.add(content)
-        if self.mask is not None:
-            self.mask[content] = True
+        self.mask[content] = True
         return evicted

@@ -54,7 +54,7 @@ def reference_run(scenario, step_hook=None):
     for e in range(n_epochs):
         t0 = e * sc.epoch_seconds
         density = sc.traffic.base_density * traffic_multiplier(sc.traffic, float(t0))
-        vehicles = spawn_vehicles(density, hw, catalog, rng, speed=sc.speed, entry_time=float(t0))
+        vehicles = spawn_vehicles(density, hw, catalog, rng, speed=sc.speed)
         budgets = [sc.backhaul.realize(rng) for _ in range(n_stations)]
         for cache, budget in zip(caches, budgets):
             evict, fetch = plan_popular_update(
@@ -136,21 +136,15 @@ def reference_run(scenario, step_hook=None):
 
                 if sustainable:
                     if any_active:
-                        plan = sustainable_small_step(
-                            pm, bank.level, harvest, hits_per_cell, quotas, dt,
-                            sc.low_watermark, sc.high_watermark,
+                        ep_pushes += int(np.count_nonzero((bank.level > sc.high_watermark) & active))
+                        ep_defers += int(np.count_nonzero((bank.level < sc.low_watermark) & active))
+                        served, draw = sustainable_small_step(
+                            pm, bank.level, harvest, hits_per_cell, quotas, dt
                         )
-                        if all_active:
-                            served = plan.served
-                            draw = plan.draw
-                            ep_pushes += int(np.count_nonzero(plan.push))
-                            ep_defers += int(np.count_nonzero(plan.defer))
-                        else:
-                            served = np.where(active, plan.served, 0)
+                        if not all_active:
+                            served = np.where(active, served, 0)
                             sleep_draw = np.minimum(pm.p_sleep, bank.level / dt + harvest)
-                            draw = np.where(active, plan.draw, sleep_draw)
-                            ep_pushes += int(np.count_nonzero(plan.push & active))
-                            ep_defers += int(np.count_nonzero(plan.defer & active))
+                            draw = np.where(active, draw, sleep_draw)
                         _, delivered = battery_step(bank, harvest, draw, dt)
                         ep_scs += int(served.sum())
                     else:

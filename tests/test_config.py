@@ -162,6 +162,10 @@ def test_scenario_invariants_surface_as_config_errors():
         parse_config("[policy]\nname = lazy\n")
     with pytest.raises(ConfigError):
         parse_config("[energy]\nbattery_capacity = -1\n")
+    with pytest.raises(ConfigError, match="speed"):
+        parse_settings("", ("traffic.speed_mps=inf",))
+    with pytest.raises(ConfigError, match="cell_length"):
+        parse_settings("", ("highway.coverage_radius_m=inf",))
 
 
 def test_power_normalization_enforced_via_config():

@@ -9,7 +9,7 @@ from scsim.energy import (
     Battery,
     EnergyProfile,
     battery_step,
-    harvest_rate,
+    harvest_rates,
     ledger_residual,
     mean_rate,
 )
@@ -18,29 +18,27 @@ from scsim.energy import (
 class TestHarvestRate:
     def test_midmorning_reference_value(self):
         """09:00 is a quarter through daylight: sin(pi/4)."""
-        prof = EnergyProfile()
-        assert harvest_rate(prof, 9 * 3600.0) == pytest.approx(math.sin(math.pi / 4), abs=1e-12)
-        assert harvest_rate(prof, 9 * 3600.0) == pytest.approx(0.7071067811865476, abs=1e-12)
+        (rate,) = harvest_rates(EnergyProfile(), [9 * 3600.0])
+        assert rate == pytest.approx(math.sin(math.pi / 4), abs=1e-12)
+        assert rate == pytest.approx(0.7071067811865476, abs=1e-12)
 
     def test_zero_outside_daylight(self):
-        prof = EnergyProfile()
-        assert harvest_rate(prof, 21 * 3600.0) == 0.0
-        assert harvest_rate(prof, 3 * 3600.0) == 0.0
+        assert harvest_rates(EnergyProfile(), [21 * 3600.0, 3 * 3600.0]).tolist() == [0.0, 0.0]
 
     def test_peak_at_noon(self):
         prof = EnergyProfile(peak_rate=2.5)
-        assert harvest_rate(prof, 12 * 3600.0) == pytest.approx(2.5, abs=1e-12)
+        assert harvest_rates(prof, [12 * 3600.0])[0] == pytest.approx(2.5, abs=1e-12)
 
     def test_never_negative_and_wraps_daily(self):
         prof = EnergyProfile()
-        for t in np.linspace(0, 2 * 86400, 977):
-            r = harvest_rate(prof, float(t))
-            assert r >= 0.0
-            assert r == pytest.approx(harvest_rate(prof, float(t % 86400)), abs=1e-12)
+        ts = np.linspace(0, 2 * 86400, 977)
+        rates = harvest_rates(prof, ts)
+        assert np.all(rates >= 0.0)
+        np.testing.assert_allclose(rates, harvest_rates(prof, ts % 86400), rtol=0, atol=1e-12)
 
     def test_constant_and_zero_kinds(self):
-        assert harvest_rate(EnergyProfile(kind="constant", peak_rate=0.7), 123.0) == 0.7
-        assert harvest_rate(EnergyProfile(kind="zero"), 43200.0) == 0.0
+        assert harvest_rates(EnergyProfile(kind="constant", peak_rate=0.7), [123.0]).tolist() == [0.7]
+        assert harvest_rates(EnergyProfile(kind="zero"), [43200.0]).tolist() == [0.0]
 
     def test_rejects_bad_profiles(self):
         with pytest.raises(ValueError):
@@ -64,7 +62,7 @@ class TestMeanRate:
         for t0, t1 in [(0.0, 86400.0), (7 * 3600.0, 9 * 3600.0), (3 * 3600.0, 6.25 * 3600.0), (60000.0, 200000.0)]:
             ts = np.linspace(t0, t1, 200001)
             mids = (ts[:-1] + ts[1:]) / 2
-            numeric = np.mean([harvest_rate(prof, float(t)) for t in mids])
+            numeric = np.mean(harvest_rates(prof, mids))
             assert mean_rate(prof, t0, t1) == pytest.approx(numeric, abs=1e-5)
 
     def test_night_window_is_zero(self):
@@ -122,8 +120,8 @@ class TestBatteryStep:
         """Idle battery over one day accumulates the analytic solar energy."""
         prof = EnergyProfile()
         batt = Battery(level=0.0)
-        for t in range(0, 86400, 60):
-            battery_step(batt, harvest_rate(prof, float(t)), 0.0, dt=60.0)
+        for harvest in harvest_rates(prof, np.arange(0.0, 86400.0, 60.0)).tolist():
+            battery_step(batt, harvest, 0.0, dt=60.0)
         want = mean_rate(prof, 0.0, 86400.0) * 86400.0
         assert batt.level == pytest.approx(want, abs=0.5)
         assert abs(ledger_residual(batt)) < 1e-9

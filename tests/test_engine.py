@@ -97,10 +97,35 @@ def test_scenario_validation():
         Scenario(cache_capacity=-1)
     with pytest.raises(ValueError):
         Scenario(speed=0.0)
+    with pytest.raises(ValueError, match="finite"):
+        Scenario(speed=np.inf)
     with pytest.raises(ValueError):
         Scenario(low_watermark=10.0, high_watermark=5.0)
     with pytest.raises(ValueError):
         Scenario(seed=-1)
+
+
+def test_watermark_counts_on_a_steady_charge():
+    """Pushes and defers count active station-steps by their starting level.
+
+    With no vehicles and a constant harvest of 1.0, every station stays
+    active at quota 0 and draws the constant floor 0.5, so each one's level
+    starts step s (0-based) at 0.5 * s and ends the 900 s epoch at 450.
+    Steps 0..199 start below 100 (defers) and steps 401..899 above 200
+    (pushes), at each of the 10 stations.
+    """
+    sc = Scenario(
+        traffic=TrafficProfile(base_density=0.0),
+        energy=EnergyProfile(kind="constant", peak_rate=1.0),
+        low_watermark=100.0,
+        high_watermark=200.0,
+        duration=900,
+    )
+    rep = run(sc)
+    assert rep.pushes == (899 - 400) * 10 == 4990
+    assert rep.defers == 200 * 10 == 2000
+    assert (rep.epochs[0].pushes, rep.epochs[0].defers) == (4990, 2000)
+    assert rep.batteries.level.tolist() == [450.0] * 10
 
 
 QUICK = Scenario(

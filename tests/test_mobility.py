@@ -36,6 +36,8 @@ class TestHighway:
             Highway(0, 1000.0)
         with pytest.raises(ValueError):
             Highway(5, 0.0)
+        with pytest.raises(ValueError, match="finite"):
+            Highway(10, np.inf)
 
 
 class TestTrafficMultiplier:
@@ -133,16 +135,17 @@ class TestSpawn:
         np.testing.assert_array_equal(a.position, b.position)
         np.testing.assert_array_equal(a.active_content, b.active_content)
 
-    def test_speed_and_entry_time_stamped(self):
-        veh = spawn_vehicles(0.01, HW, CAT, np.random.default_rng(6), speed=30.0, entry_time=900.0)
+    def test_speed_stamped(self):
+        veh = spawn_vehicles(0.01, HW, CAT, np.random.default_rng(6), speed=30.0)
         assert np.all(veh.speed == 30.0)
-        assert np.all(veh.entry_time == 900.0)
 
     def test_rejects_bad_arguments(self):
         with pytest.raises(ValueError):
             spawn_vehicles(-1.0, HW, CAT, np.random.default_rng(0))
         with pytest.raises(ValueError):
             spawn_vehicles(0.01, HW, CAT, np.random.default_rng(0), speed=0.0)
+        with pytest.raises(ValueError):
+            spawn_vehicles(0.01, HW, CAT, np.random.default_rng(0), speed=np.inf)
 
 
 class TestAdvance:
@@ -150,7 +153,7 @@ class TestAdvance:
         veh = spawn_vehicles(0.01, HW, CAT, np.random.default_rng(3))
         pos = veh.position.copy()
         pos[0] = 9990.0
-        veh = type(veh)(pos, np.abs(veh.direction), veh.speed, veh.active_content, veh.entry_time)
+        veh = type(veh)(pos, np.abs(veh.direction), veh.speed, veh.active_content)
         assert veh.positions_at(1.0, HW)[0] == pytest.approx(15.0, abs=1e-9)
 
     def test_round_trip_returns_home(self):

@@ -5,8 +5,6 @@ import pytest
 
 from scsim.catalog import build_catalog, hit_rate
 from scsim.policy import (
-    DEFAULT_HIGH_WATERMARK,
-    DEFAULT_LOW_WATERMARK,
     BackhaulBudget,
     greedy_large_step,
     greedy_small_step,
@@ -22,7 +20,7 @@ PM = PowerModel()
 
 
 def cache(capacity=10, split=0.8, popular=()):
-    c = CacheStore(capacity, split)
+    c = CacheStore(capacity, split, mask=np.zeros(CAT.n_files + 1, dtype=bool))
     c.apply_popular_update([], list(popular))
     return c
 
@@ -172,18 +170,18 @@ class TestSustainableLargeStep:
 
 class TestSustainableSmallStep:
     def test_fully_powered_at_noon(self):
-        plan = sustainable_small_step(PM, 0.0, 1.0, offered_hits=7, quota=10, dt=1.0)
-        assert plan.served == 7
-        assert plan.draw == pytest.approx(0.85, abs=1e-12)
+        served, draw = sustainable_small_step(PM, 0.0, 1.0, offered_hits=7, quota=10, dt=1.0)
+        assert served == 7
+        assert draw == pytest.approx(0.85, abs=1e-12)
 
     def test_affordable_floor(self):
-        plan = sustainable_small_step(PM, 0.0, 0.74, offered_hits=10, quota=10, dt=1.0)
-        assert plan.served == 4
+        served, _ = sustainable_small_step(PM, 0.0, 0.74, offered_hits=10, quota=10, dt=1.0)
+        assert served == 4
 
     def test_brownout_serves_nothing_but_drains(self):
-        plan = sustainable_small_step(PM, 0.1, 0.1, offered_hits=10, quota=10, dt=1.0)
-        assert plan.served == 0
-        assert plan.draw == pytest.approx(0.2, abs=1e-12)
+        served, draw = sustainable_small_step(PM, 0.1, 0.1, offered_hits=10, quota=10, dt=1.0)
+        assert served == 0
+        assert draw == pytest.approx(0.2, abs=1e-12)
 
     def test_never_requests_beyond_available(self):
         rng = np.random.default_rng(31)
@@ -191,34 +189,28 @@ class TestSustainableSmallStep:
             level = float(rng.random() * 2)
             harv = float(rng.random() * 1.5)
             dt = float(rng.choice([1.0, 5.0]))
-            plan = sustainable_small_step(
+            served, draw = sustainable_small_step(
                 PM, level, harv, offered_hits=int(rng.integers(0, 20)), quota=int(rng.integers(0, 11)), dt=dt
             )
-            assert plan.draw <= min(1.0, level / dt + harv) + 1e-9
-            assert plan.served <= 10
+            assert draw <= min(1.0, level / dt + harv) + 1e-9
+            assert served <= 10
 
     def test_quota_binds(self):
-        plan = sustainable_small_step(PM, 1e6, 1.0, offered_hits=10, quota=3, dt=1.0)
-        assert plan.served == 3
-
-    def test_watermark_flags(self):
-        low = sustainable_small_step(PM, DEFAULT_LOW_WATERMARK - 1.0, 1.0, 0, 10, 1.0)
-        assert bool(low.defer) and not bool(low.push)
-        high = sustainable_small_step(PM, DEFAULT_HIGH_WATERMARK + 1.0, 1.0, 0, 10, 1.0)
-        assert bool(high.push) and not bool(high.defer)
-        mid = sustainable_small_step(PM, 1800.0, 1.0, 0, 10, 1.0)
-        assert not bool(mid.defer) and not bool(mid.push)
+        served, _ = sustainable_small_step(PM, 1e6, 1.0, offered_hits=10, quota=3, dt=1.0)
+        assert served == 3
 
     def test_vectorised_matches_scalar(self):
         levels = np.array([0.0, 100.0, 4000.0])
         harv = np.array([0.2, 0.6, 0.0])
         offered = np.array([5, 9, 2])
         quota = np.array([10, 4, 10])
-        plan = sustainable_small_step(PM, levels, harv, offered, quota, dt=1.0)
+        served, draw = sustainable_small_step(PM, levels, harv, offered, quota, dt=1.0)
         for i in range(3):
-            single = sustainable_small_step(PM, float(levels[i]), float(harv[i]), int(offered[i]), int(quota[i]), dt=1.0)
-            assert plan.served[i] == single.served
-            assert plan.draw[i] == pytest.approx(float(single.draw), abs=1e-12)
+            one_served, one_draw = sustainable_small_step(
+                PM, float(levels[i]), float(harv[i]), int(offered[i]), int(quota[i]), dt=1.0
+            )
+            assert served[i] == one_served
+            assert draw[i] == pytest.approx(float(one_draw), abs=1e-12)
 
 
 class TestGreedy:

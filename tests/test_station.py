@@ -6,6 +6,11 @@ import pytest
 from scsim.station import CacheStore, PowerModel
 
 
+def row():
+    """A fresh membership row for content ids 0..49."""
+    return np.zeros(50, dtype=bool)
+
+
 class TestPowerModel:
     def test_defaults_normalised(self):
         pm = PowerModel()
@@ -22,27 +27,27 @@ class TestPowerModel:
 
 class TestCacheStore:
     def test_split_partition_sizes(self):
-        c = CacheStore(100, 0.8)
+        c = CacheStore(100, 0.8, mask=row())
         assert c.popular_capacity == 80 and c.prefetch_capacity == 20
-        c = CacheStore(31, 0.8)
+        c = CacheStore(31, 0.8, mask=row())
         assert c.popular_capacity == 25 and c.prefetch_capacity == 6
-        c = CacheStore(10, 1.0)
+        c = CacheStore(10, 1.0, mask=row())
         assert c.popular_capacity == 10 and c.prefetch_capacity == 0
 
     def test_zero_capacity_caches_nothing(self):
-        c = CacheStore(0, 0.8)
+        c = CacheStore(0, 0.8, mask=row())
         assert c.prefetch_insert(5) is None
         assert not c.contains(5)
 
     def test_membership_is_union_of_partitions(self):
-        c = CacheStore(10, 0.5)
+        c = CacheStore(10, 0.5, mask=row())
         c.apply_popular_update([], [1, 2])
         c.prefetch_insert(7)
         assert c.contains(1) and c.contains(7)
         assert not c.contains(3)
 
     def test_fifo_eviction_order(self):
-        c = CacheStore(5, 0.5)  # prefetch capacity 2
+        c = CacheStore(5, 0.5, mask=row())  # prefetch capacity 2
         assert c.prefetch_insert(11) is None
         assert c.prefetch_insert(12) is None
         assert c.prefetch_insert(13) == 11
@@ -50,13 +55,13 @@ class TestCacheStore:
         assert c.prefetch == [13, 14]
 
     def test_duplicate_prefetch_is_noop(self):
-        c = CacheStore(5, 0.5)
+        c = CacheStore(5, 0.5, mask=row())
         c.prefetch_insert(11)
         assert c.prefetch_insert(11) is None
         assert c.prefetch == [11]
 
     def test_mask_written_through(self):
-        mask = np.zeros(50, dtype=bool)
+        mask = row()
         c = CacheStore(4, 0.5, mask=mask)
         c.apply_popular_update([], [3, 4])
         c.prefetch_insert(9)
@@ -68,7 +73,7 @@ class TestCacheStore:
         assert not mask[4] and mask[5]
 
     def test_mask_keeps_id_cached_in_both_partitions(self):
-        mask = np.zeros(50, dtype=bool)
+        mask = row()
         c = CacheStore(4, 0.5, mask=mask)
         c.apply_popular_update([], [7])
         c.prefetch_insert(7)  # duplicate across partitions is a no-op
@@ -76,12 +81,12 @@ class TestCacheStore:
         assert not c.contains(7) or mask[7] == c.contains(7)
 
     def test_popular_overfull_rejected(self):
-        c = CacheStore(4, 0.5)
+        c = CacheStore(4, 0.5, mask=row())
         with pytest.raises(ValueError):
             c.apply_popular_update([], [1, 2, 3])
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            CacheStore(-1)
+            CacheStore(-1, mask=row())
         with pytest.raises(ValueError):
-            CacheStore(10, split_ratio=1.5)
+            CacheStore(10, split_ratio=1.5, mask=row())
