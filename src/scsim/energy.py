@@ -18,6 +18,8 @@ __all__ = [
     "harvest_rates",
     "mean_rate",
     "battery_step",
+    "guess_levels",
+    "battery_run",
     "ledger_residual",
 ]
 
@@ -39,8 +41,11 @@ class EnergyProfile:
             raise ValueError(f"kind must be one of {KINDS}, got {self.kind!r}")
         if self.peak_rate < 0 or not math.isfinite(self.peak_rate):
             raise ValueError(f"peak_rate must be finite and >= 0, got {self.peak_rate}")
-        if self.kind == "solar-sine" and not self.sunset_h > self.sunrise_h:
-            raise ValueError("sunset_h must be later than sunrise_h")
+        if self.kind == "solar-sine" and not -math.inf < self.sunrise_h < self.sunset_h < math.inf:
+            raise ValueError(
+                f"sunrise_h and sunset_h must be finite, sunset_h later than sunrise_h, "
+                f"got {self.sunrise_h} and {self.sunset_h}"
+            )
 
 
 def harvest_rates(profile: EnergyProfile, ts: np.ndarray) -> np.ndarray:
@@ -152,6 +157,91 @@ def battery_step(
     batt.cum_consumed += delivered
     batt.cum_deficit += requested - delivered
     return batt, delivered if dt == 1.0 else delivered / dt
+
+
+def guess_levels(
+    batt: Battery, harvest: np.ndarray, draw: float | np.ndarray, dt: float
+) -> np.ndarray:
+    """Guess the level at the start of each of a block of steps.
+
+    ``harvest`` holds one rate per step, shared by every battery; ``draw``
+    holds the nominal rate each step requests, one row per step shaped
+    like ``batt.level``, or one value for all. The guess is the level if
+    every step delivered its nominal draw, built by one sequential
+    accumulate of the same additions, in the same order, as a loop of
+    :func:`battery_step`. Once a battery's guess would end a step below 0
+    or above a finite capacity, it stays at that bound from there on.
+    Returns one row per step; row 0 is ``batt.level``.
+    """
+    shape = (len(harvest),) + np.shape(batt.level)
+    rows = np.empty((2 * shape[0],) + shape[1:])
+    rows[0] = batt.level
+    rows[1::2] = _per_step(harvest, batt) * dt
+    rows[2::2] = -np.broadcast_to(draw * dt, shape)[:-1]
+    levels = np.add.accumulate(rows, axis=0)[0::2]
+    out = (levels < 0.0) | (levels > batt.capacity)
+    first = np.take_along_axis(levels, out.argmax(axis=0)[None], axis=0)
+    bound = np.where(first < 0.0, 0.0, batt.capacity)
+    return np.where(np.logical_or.accumulate(out, axis=0), bound, levels)
+
+
+def battery_run(
+    batt: Battery,
+    harvest: np.ndarray,
+    draw: float | np.ndarray,
+    dt: float,
+    start: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the battery over the leading steps of a block whose start levels hold.
+
+    The block twin of :func:`battery_step`. ``start`` holds a guess of the
+    level at the start of each step (see :func:`guess_levels`; row 0 must
+    be ``batt.level``), ``harvest`` one rate per step, and ``draw`` the
+    rate each step requests from its guessed level. The step rule runs
+    on every row at once, elementwise, with the same arithmetic as
+    :func:`battery_step`. A row whose start level is right gives the
+    loop's outcome, so the block advances through the first step whose
+    end level misses the next guess: at least one step, at most all.
+    The ledger books those steps with sequential accumulates in loop
+    order, leaving ``batt`` bit-identical to a loop of
+    :func:`battery_step`; ``cum_harvested`` stays a scalar. Returns the
+    delivered power and the end level of each step taken.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be > 0")
+    harvested = _per_step(harvest, batt) * dt
+    available = start + harvested
+    requested = draw * dt
+    delivered = np.minimum(requested, available)
+    after = available - delivered
+    bounded = batt.capacity != math.inf
+    if bounded:
+        overflow = np.maximum(after - batt.capacity, 0.0)
+        after = after - overflow
+    missed = after[:-1] != start[1:]
+    missed = missed.any(axis=tuple(range(1, missed.ndim)))
+    k = int(missed.argmax()) + 1 if missed.any() else len(start)
+
+    batt.level = after[k - 1].copy()
+    if bounded:
+        batt.cum_overflow = _add_rows(batt.cum_overflow, overflow[:k])
+    batt.cum_harvested = float(_add_rows(batt.cum_harvested, harvested[:k].ravel()))
+    batt.cum_consumed = _add_rows(batt.cum_consumed, delivered[:k])
+    batt.cum_deficit = _add_rows(batt.cum_deficit, (requested - delivered)[:k])
+    return (delivered[:k] if dt == 1.0 else delivered[:k] / dt), after[:k]
+
+
+def _per_step(harvest: np.ndarray, batt: Battery) -> np.ndarray:
+    """One rate per step, shaped to broadcast over rows of ``batt.level``."""
+    return np.reshape(harvest, (-1,) + (1,) * np.ndim(batt.level))
+
+
+def _add_rows(total: float | np.ndarray, rows: np.ndarray) -> float | np.ndarray:
+    """``total`` plus each row in turn, the additions a step loop makes."""
+    acc = np.empty((len(rows) + 1,) + rows.shape[1:])
+    acc[0] = total
+    acc[1:] = rows
+    return np.add.accumulate(acc, axis=0)[-1].copy()
 
 
 def ledger_residual(batt: Battery) -> float | np.ndarray:

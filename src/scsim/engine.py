@@ -30,7 +30,9 @@ from .catalog import build_catalog
 from .energy import (
     Battery,
     EnergyProfile,
+    battery_run,
     battery_step,
+    guess_levels,
     harvest_rates,
     ledger_residual,
     mean_rate,
@@ -133,6 +135,8 @@ class Scenario:
             raise ValueError("battery_capacity must be > 0 (inf for unbounded)")
         if self.n_files < 1:
             raise ValueError("n_files must be >= 1")
+        if not 0.0 <= self.gamma < math.inf:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 
@@ -418,45 +422,73 @@ class _EnergyPass:
         Rows are ``(n_sub, n_stations)``: users served, delivered power,
         and the battery level after each step. The counts are the active
         station-steps that start above the high and below the low watermark.
+
+        The epoch is served as one block. Its start levels are guessed
+        from the nominal draws (``p_const + p_per_user * min(hits, quota)``
+        when active, ``p_sleep`` asleep), the step rule decides every step
+        from its guessed level at once, and :func:`battery_run` takes the
+        steps up to the first whose guess the rule's own arithmetic
+        refutes. Only the steps after that run one by one, so the rows
+        are the step loop's, bit for bit.
         """
         sc = self.sc
         pm = sc.power
         bank = self.bank
         dt = self.dt
         start_level = bank.level
-        served = np.zeros(hits.shape, dtype=np.int64)
+        served = np.empty(hits.shape, dtype=np.int64)
         delivered = np.empty(hits.shape)
         level = np.empty(hits.shape)
-        any_active = bool(active.any())
-        all_active = bool(active.all())
-        for s, harvest in enumerate(harvests.tolist()):
-            if any_active:
-                step_served, draw = sustainable_small_step(pm, bank.level, harvest, hits[s], quotas, dt)
-                if not all_active:
-                    step_served = np.where(active, step_served, 0)
-                    sleep_draw = np.minimum(pm.p_sleep, bank.level / dt + harvest)
-                    draw = np.where(active, draw, sleep_draw)
-                served[s] = step_served
-            else:
-                draw = np.minimum(pm.p_sleep, bank.level / dt + harvest)
+        nominal = np.where(active, pm.p_const + pm.p_per_user * np.minimum(hits, quotas), pm.p_sleep)
+        guess = guess_levels(bank, harvests, nominal, dt)
+        block_served, draw = self._step_rule(guess, harvests[:, None], hits, active, quotas)
+        block_delivered, block_level = battery_run(bank, harvests, draw, dt, guess)
+        k = len(block_level)
+        served[:k] = block_served[:k]
+        delivered[:k] = block_delivered
+        level[:k] = block_level
+        for s, harvest in enumerate(harvests[k:].tolist(), start=k):
+            served[s], draw = self._step_rule(bank.level, harvest, hits[s], active, quotas)
             _, delivered[s] = battery_step(bank, harvest, draw, dt)
             level[s] = bank.level
-        if not any_active:
-            return served, delivered, level, 0, 0
         before = np.vstack((start_level[None, :], level[:-1]))
         pushes = int(np.count_nonzero((before > sc.high_watermark) & active))
         defers = int(np.count_nonzero((before < sc.low_watermark) & active))
         return served, delivered, level, pushes, defers
 
+    def _step_rule(
+        self, levels: np.ndarray, harvest, hits: np.ndarray, active: np.ndarray, quotas: np.ndarray
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Users served and power requested at ``levels``.
+
+        Active stations follow :func:`sustainable_small_step`; sleeping ones
+        serve nobody and draw ``p_sleep``, or what is left if that is less.
+        """
+        pm = self.sc.power
+        step_served, draw = sustainable_small_step(pm, levels, harvest, hits, quotas, self.dt)
+        sleep_draw = np.minimum(pm.p_sleep, levels / self.dt + harvest)
+        return np.where(active, step_served, 0), np.where(active, draw, sleep_draw)
+
     def _serve_greedy(
         self, hits: np.ndarray, harvests: np.ndarray
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Step the always-on baseline; returns the same rows as the rationed one."""
+        """Step the always-on baseline; returns the same rows as the rationed one.
+
+        The shared ledger requests full power every step, so its block
+        needs no step rule: :func:`battery_run` checks the guessed levels
+        directly, and the steps after its first miss run one by one.
+        """
         shared = self.shared
+        dt = self.dt
         delivered = np.empty(self.n_sub)
         level = np.empty(self.n_sub)
-        for s, harvest in enumerate(harvests.tolist()):
-            _, delivered[s] = battery_step(shared, harvest, 1.0, self.dt)
+        guess = guess_levels(shared, harvests, 1.0, dt)
+        block_delivered, block_level = battery_run(shared, harvests, 1.0, dt, guess)
+        k = len(block_level)
+        delivered[:k] = block_delivered
+        level[:k] = block_level
+        for s, harvest in enumerate(harvests[k:].tolist(), start=k):
+            _, delivered[s] = battery_step(shared, harvest, 1.0, dt)
             level[s] = shared.level
         served = greedy_small_step(self.sc.power, hits, delivered[:, None], self.sc.greedy_partial)
         n = self.n_stations

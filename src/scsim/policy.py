@@ -8,6 +8,7 @@ what the battery and the instantaneous harvest can afford.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -41,8 +42,10 @@ class BackhaulBudget:
         lo, hi = self.variability
         if self.files_per_epoch < 0:
             raise ValueError("files_per_epoch must be >= 0")
-        if not 0.0 <= lo <= hi:
-            raise ValueError("variability must satisfy 0 <= lo <= hi")
+        if not 0.0 <= lo <= hi < math.inf:
+            raise ValueError(
+                f"variability must be finite and satisfy 0 <= lo <= hi, got {self.variability}"
+            )
 
     def realize(self, rng: np.random.Generator) -> int:
         """Draw one epoch's realized budget; consumes one uniform."""

@@ -166,6 +166,14 @@ def test_scenario_invariants_surface_as_config_errors():
         parse_settings("", ("traffic.speed_mps=inf",))
     with pytest.raises(ConfigError, match="cell_length"):
         parse_settings("", ("highway.coverage_radius_m=inf",))
+    with pytest.raises(ConfigError, match="variability"):
+        parse_settings("", ("policy.backhaul_variability_max=inf",))
+    with pytest.raises(ConfigError, match="sunset_h"):
+        parse_settings("", ("energy.sunset_h=inf",))
+    with pytest.raises(ConfigError, match="sunrise_h"):
+        parse_settings("", ("energy.sunrise_h=-inf",))
+    with pytest.raises(ConfigError, match="gamma"):
+        parse_settings("", ("catalog.gamma=inf",))
 
 
 def test_power_normalization_enforced_via_config():

@@ -8,7 +8,9 @@ import pytest
 from scsim.energy import (
     Battery,
     EnergyProfile,
+    battery_run,
     battery_step,
+    guess_levels,
     harvest_rates,
     ledger_residual,
     mean_rate,
@@ -45,6 +47,10 @@ class TestHarvestRate:
             EnergyProfile(kind="wind")
         with pytest.raises(ValueError):
             EnergyProfile(sunrise_h=18.0, sunset_h=6.0)
+        with pytest.raises(ValueError, match="finite"):
+            EnergyProfile(sunset_h=math.inf)
+        with pytest.raises(ValueError, match="finite"):
+            EnergyProfile(sunrise_h=-math.inf)
         with pytest.raises(ValueError):
             EnergyProfile(peak_rate=-1.0)
 
@@ -159,3 +165,76 @@ class TestBatteryStep:
             Battery(capacity=-1.0)
         with pytest.raises(ValueError):
             battery_step(Battery(), 0.0, 0.0, dt=0.0)
+
+
+LEDGER = ("level", "cum_harvested", "cum_consumed", "cum_overflow", "cum_deficit")
+
+
+def loop_run(batt, harvest, draw, dt):
+    """The step loop a block replaces: delivered power and end level per step."""
+    delivered, level = [], []
+    for s, h in enumerate(harvest.tolist()):
+        _, d = battery_step(batt, h, draw[s] if np.ndim(draw) else draw, dt)
+        delivered.append(d)
+        level.append(batt.level)
+    shape = (len(harvest),) + np.shape(batt.level)
+    return np.reshape(delivered, shape), np.reshape(level, shape)
+
+
+class TestBatteryRun:
+    def test_guess_follows_nominal_draws_and_pins_at_bounds(self):
+        batt = Battery(level=np.array([1.0, 1.25]), capacity=1.5)
+        draw = np.array([[0.4, 0.0]] * 5)
+        guess = guess_levels(batt, np.array([0.0, 0.25, 0.25, 0.0, 0.0]), draw, dt=1.0)
+        # station 0 ends step 3 below zero, station 1 ends step 2 above capacity
+        assert guess[:, 0].tolist() == [1.0, 0.6, 0.44999999999999996, 0.29999999999999993, 0.0]
+        assert guess[:, 1].tolist() == [1.25, 1.25, 1.5, 1.5, 1.5]
+        scalar = guess_levels(Battery(level=0.5), np.zeros(3), 1.0, dt=1.0)
+        assert scalar.tolist() == [0.5, 0.0, 0.0]
+
+    def test_unbinding_block_takes_every_step(self):
+        harvest = np.array([0.3, 0.9, 0.0, 0.4])
+        draw = np.array([[0.2, 0.5], [0.1, 0.7], [0.3, 0.2], [0.6, 0.1]])
+        batt = Battery(level=np.array([2.0, 3.0]))
+        want = Battery(level=np.array([2.0, 3.0]))
+        delivered, level = battery_run(batt, harvest, draw, 1.0, guess_levels(batt, harvest, draw, 1.0))
+        want_delivered, want_level = loop_run(want, harvest, draw, 1.0)
+        assert len(level) == 4
+        np.testing.assert_array_equal(delivered, want_delivered)
+        np.testing.assert_array_equal(level, want_level)
+        for name in LEDGER:
+            assert type(getattr(batt, name)) is type(getattr(want, name)), name
+            np.testing.assert_array_equal(getattr(batt, name), getattr(want, name), err_msg=name)
+
+    def test_block_then_loop_matches_step_loop_bit_for_bit(self):
+        """Wrong guesses stop the block; the loop from there gives the loop's ledger."""
+        rng = np.random.default_rng(7)
+        stopped = 0
+        for trial in range(300):
+            shape = () if trial % 3 == 0 else (int(rng.integers(1, 5)),)
+            capacity = float(rng.choice([math.inf, rng.uniform(0.5, 4.0)]))
+            dt = float(rng.choice([1.0, 2.0, 0.5]))
+            n_sub = int(rng.integers(1, 30))
+            level0 = rng.uniform(0.0, min(capacity, 3.0), size=shape)
+            level0 = float(level0) if shape == () else level0
+            harvest = rng.uniform(0.0, 1.5, size=n_sub) * rng.integers(0, 2, size=n_sub)
+            draw = rng.uniform(0.0, 1.5, size=(n_sub,) + shape)
+            batt = Battery(level=level0, capacity=capacity)
+            want = Battery(level=level0, capacity=capacity)
+            guess = guess_levels(batt, harvest, draw, dt)
+            delivered, level = battery_run(batt, harvest, draw, dt, guess)
+            k = len(level)
+            assert 1 <= k <= n_sub
+            stopped += k < n_sub
+            rest_delivered, rest_level = loop_run(batt, harvest[k:], draw[k:], dt)
+            want_delivered, want_level = loop_run(want, harvest, draw, dt)
+            np.testing.assert_array_equal(np.concatenate([delivered, rest_delivered]), want_delivered)
+            np.testing.assert_array_equal(np.concatenate([level, rest_level]), want_level)
+            for name in LEDGER:
+                assert type(getattr(batt, name)) is type(getattr(want, name)), name
+                np.testing.assert_array_equal(getattr(batt, name), getattr(want, name), err_msg=name)
+        assert stopped > 50
+
+    def test_rejects_bad_dt(self):
+        with pytest.raises(ValueError):
+            battery_run(Battery(), np.zeros(2), 0.0, 0.0, np.zeros(2))

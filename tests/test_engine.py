@@ -103,6 +103,8 @@ def test_scenario_validation():
         Scenario(low_watermark=10.0, high_watermark=5.0)
     with pytest.raises(ValueError):
         Scenario(seed=-1)
+    with pytest.raises(ValueError, match="gamma"):
+        Scenario(gamma=np.inf)
 
 
 def test_watermark_counts_on_a_steady_charge():
@@ -343,6 +345,52 @@ SHARED_DEMAND_CASES = {
     ),
 }
 
+# Short solar days on which an epoch's guessed battery levels go wrong, so
+# the energy passes fall back to the step loop part way through.
+FALLBACK_CASES = {
+    # harvest rises through the epoch, so early steps cannot afford the quota
+    "binding-serving": Scenario(
+        traffic=TrafficProfile(base_density=0.01, enabled=False),
+        energy=EnergyProfile(sunrise_h=0.0, sunset_h=2.0),
+        duration=3600,
+    ),
+    "tiny-battery": Scenario(
+        traffic=TrafficProfile(base_density=0.004, enabled=False),
+        energy=EnergyProfile(sunrise_h=0.0, sunset_h=1.0),
+        battery_capacity=5.0,
+        duration=3600,
+    ),
+    # the level pins at capacity around midday, then the harvest falls short
+    "capacity-2000-midday": Scenario(
+        traffic=TrafficProfile(base_density=0.004, enabled=False),
+        energy=EnergyProfile(peak_rate=2.5, sunrise_h=0.0, sunset_h=1.5),
+        battery_capacity=2000.0,
+        duration=5400,
+    ),
+    "two-second-solar-steps": Scenario(
+        traffic=TrafficProfile(base_density=0.004, enabled=False),
+        energy=EnergyProfile(sunrise_h=0.0, sunset_h=1.0),
+        step_seconds=2,
+        duration=3600,
+    ),
+    # charged while asleep, then drains to empty at night part way through
+    # an epoch; 3 s steps make the last sleep draw round off the level
+    "sleeper-drains-empty": Scenario(
+        traffic=TrafficProfile(base_density=0.004, enabled=False),
+        energy=EnergyProfile(peak_rate=0.6, sunrise_h=0.0, sunset_h=0.25),
+        power=PowerModel(p_sleep=0.3),
+        step_seconds=3,
+        duration=2700,
+    ),
+    # the greedy level leaves 0 once the harvest passes its full draw
+    "greedy-leaves-empty": Scenario(
+        traffic=TrafficProfile(base_density=0.004, enabled=False),
+        energy=EnergyProfile(peak_rate=1.7, sunrise_h=0.0, sunset_h=1.0),
+        duration=3600,
+    ),
+}
+SHARED_DEMAND_CASES.update(FALLBACK_CASES)
+
 
 def assert_same_report(got, want):
     for f in fields(MetricsReport):
@@ -370,18 +418,83 @@ def test_compare_energy_matches_separate_runs(sc):
         assert all(em.offered == 0 for em in sus.epochs)
 
 
+def counting(monkeypatch, name):
+    """Count the engine's calls of ``name`` through a delegating wrapper."""
+    real = getattr(engine, name)
+    calls = []
+
+    def counted(*args):
+        result = real(*args)
+        # battery_run books the steps it takes
+        calls.append(len(result[1]) if name == "battery_run" else 1)
+        return result
+
+    monkeypatch.setattr(engine, name, counted)
+    return calls
+
+
 @pytest.mark.parametrize("policy", ["sustainable", "greedy"])
 def test_run_raises_when_battery_ledger_drifts(monkeypatch, policy):
+    # QUICK's night epochs are settled as blocks, so leak there
+    real_run = engine.battery_run
+    steps = counting(monkeypatch, "battery_step")
+
+    def leaky(batt, harvest, draw, dt, start):
+        delivered, level = real_run(batt, harvest, draw, dt, start)
+        batt.cum_consumed = batt.cum_consumed + 1e-6 * len(level)
+        return delivered, level
+
+    monkeypatch.setattr(engine, "battery_run", leaky)
+    with pytest.raises(RuntimeError, match="ledger"):
+        run(replace(QUICK, policy=policy))
+    assert steps == []
+
+
+@pytest.mark.parametrize("policy", ["sustainable", "greedy"])
+def test_run_raises_when_fallback_ledger_drifts(monkeypatch, policy):
     real_step = engine.battery_step
+    steps = []
 
     def leaky(batt, harvest, draw, dt):
+        steps.append(1)
         batt, delivered = real_step(batt, harvest, draw, dt)
         batt.cum_consumed = batt.cum_consumed + 1e-6
         return batt, delivered
 
     monkeypatch.setattr(engine, "battery_step", leaky)
     with pytest.raises(RuntimeError, match="ledger"):
-        run(replace(QUICK, policy=policy))
+        run(replace(FALLBACK_CASES["greedy-leaves-empty"], policy=policy))
+    assert steps
+
+
+@pytest.mark.parametrize("name", FALLBACK_CASES)
+def test_fallback_cases_reach_the_step_loop(monkeypatch, name):
+    sc = FALLBACK_CASES[name]
+    steps = counting(monkeypatch, "battery_step")
+    records = []
+    rep = run(sc, step_hook=records.append)
+    assert 0 < len(steps) < sc.duration // sc.step_seconds
+    if name == "binding-serving":
+        assert any(np.any(r.served < np.minimum(r.hits, r.quotas)) for r in records)
+    if name == "capacity-2000-midday":
+        assert rep.overflow_energy > 0
+    if name == "sleeper-drains-empty":
+        assert not any(r.active.any() for r in records)
+        assert rep.epochs[1].mean_battery > 0 and rep.epochs[2].mean_battery == 0
+    steps.clear()
+    run(replace(sc, policy="greedy"))
+    assert (len(steps) > 0) == (name in ("greedy-leaves-empty", "capacity-2000-midday"))
+
+
+def test_default_day_rarely_falls_back(monkeypatch):
+    sc = Scenario(seed=0)
+    steps = counting(monkeypatch, "battery_step")
+    blocks = counting(monkeypatch, "battery_run")
+    run(sc)
+    n_steps = sc.duration // sc.step_seconds
+    assert len(blocks) == sc.duration // sc.epoch_seconds
+    assert sum(blocks) + len(steps) == n_steps
+    assert 0 < len(steps) < 0.05 * n_steps
 
 
 def random_scenario(rng):
@@ -427,8 +540,9 @@ def trace(sc, simulate):
 @pytest.mark.parametrize("policy", ["sustainable", "greedy"])
 def test_run_matches_single_loop_reference(policy):
     rng = np.random.default_rng(20261018)
-    for _ in range(40):
-        sc = replace(random_scenario(rng), policy=policy)
+    scenarios = [random_scenario(rng) for _ in range(40)] + list(FALLBACK_CASES.values())
+    for sc in scenarios:
+        sc = replace(sc, policy=policy)
         got, got_steps = trace(sc, run)
         want, want_steps = trace(sc, reference_run)
         assert_same_report(got, want)

@@ -39,6 +39,8 @@ class TestBackhaulBudget:
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
             BackhaulBudget(50, (0.9, 0.1))
+        with pytest.raises(ValueError, match="finite"):
+            BackhaulBudget(50, (0.5, float("inf")))
         with pytest.raises(ValueError):
             BackhaulBudget(-1)
 
