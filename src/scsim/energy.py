@@ -156,7 +156,7 @@ def battery_step(
     batt.cum_harvested += harvested
     batt.cum_consumed += delivered
     batt.cum_deficit += requested - delivered
-    return batt, delivered if dt == 1.0 else delivered / dt
+    return batt, delivered / dt
 
 
 def guess_levels(
@@ -228,7 +228,7 @@ def battery_run(
     batt.cum_harvested = float(_add_rows(batt.cum_harvested, harvested[:k].ravel()))
     batt.cum_consumed = _add_rows(batt.cum_consumed, delivered[:k])
     batt.cum_deficit = _add_rows(batt.cum_deficit, (requested - delivered)[:k])
-    return (delivered[:k] if dt == 1.0 else delivered[:k] / dt), after[:k]
+    return delivered[:k] / dt, after[:k]
 
 
 def _per_step(harvest: np.ndarray, batt: Battery) -> np.ndarray:

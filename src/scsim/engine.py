@@ -329,7 +329,10 @@ class _EnergyPass:
 
     Fed one :class:`DemandEpoch` at a time through :meth:`serve`; the
     per-station bank and the running totals live here, so several passes
-    can consume one demand stream side by side.
+    can consume one demand stream side by side. Both policies settle the
+    same bank through :meth:`_settle` and differ only in the draw their
+    step controller requests: the sustainable one rations it, the greedy
+    one always asks for full power.
     """
 
     def __init__(self, sc: Scenario, step_hook: Callable[[StepRecord], None] | None = None):
@@ -339,11 +342,6 @@ class _EnergyPass:
         self.n_sub = sc.epoch_seconds // sc.step_seconds
         self.dt = float(sc.step_seconds)
         self.bank = Battery(level=np.zeros(self.n_stations), capacity=sc.battery_capacity)
-        # The greedy controller requests full power from identical, initially
-        # empty stores under one harvest, so its battery never depends on the
-        # hits and is the same at every station: one scalar ledger stands for
-        # the whole bank. The sustainable controller leaves it untouched.
-        self.shared = Battery(level=0.0, capacity=sc.battery_capacity)
         self.epochs: list[EpochMetrics] = []
         self.steps = 0
         self.offered = self.scs = self.hits = 0
@@ -353,19 +351,28 @@ class _EnergyPass:
     def serve(self, demand: DemandEpoch) -> None:
         """Plan the epoch, serve its steps, and book its metrics row."""
         sc = self.sc
+        pm = sc.power
         t0 = demand.t0
+        hits = demand.hits
         harvests = harvest_rates(sc.energy, t0 + np.arange(self.n_sub) * self.dt)
         if sc.policy == "sustainable":
             forecast = mean_rate(sc.energy, float(t0), float(t0 + sc.epoch_seconds))
-            active, quotas = sustainable_large_step(
-                sc.power, self.bank.level, forecast, float(sc.epoch_seconds)
-            )
-            served, delivered, level, pushes, defers = self._serve_sustainable(
-                demand.hits, harvests, active, quotas
-            )
+            start_level = self.bank.level
+            active, quotas = sustainable_large_step(pm, start_level, forecast, float(sc.epoch_seconds))
+            nominal = np.where(active, pm.p_const + pm.p_per_user * np.minimum(hits, quotas), pm.p_sleep)
+
+            def draw_at(s, levels, harvest):
+                return self._step_rule(levels, harvest, hits[s], active, quotas)[1]
+
+            delivered, level = self._settle(harvests, nominal, draw_at)
+            before = np.vstack((start_level[None, :], level[:-1]))
+            served, _ = self._step_rule(before, harvests[:, None], hits, active, quotas)
+            pushes = int(np.count_nonzero((before > sc.high_watermark) & active))
+            defers = int(np.count_nonzero((before < sc.low_watermark) & active))
         else:
-            active, quotas = greedy_large_step(sc.power, self.n_stations)
-            served, delivered, level = self._serve_greedy(demand.hits, harvests)
+            active, quotas = greedy_large_step(pm, self.n_stations)
+            delivered, level = self._settle(harvests, 1.0, lambda *_: 1.0)
+            served = greedy_small_step(pm, hits, delivered, sc.greedy_partial)
             pushes = defers = 0
         self.steps += self.n_sub
         _check_ledger(self.bank, self.steps)
@@ -375,7 +382,7 @@ class _EnergyPass:
                     StepRecord(
                         t=t0 + (s + 1) * sc.step_seconds,
                         offered=demand.n_vehicles,
-                        hits=demand.hits[s].copy(),
+                        hits=hits[s].copy(),
                         served=served[s].copy(),
                         quotas=quotas.copy(),
                         active=active.copy(),
@@ -383,7 +390,7 @@ class _EnergyPass:
                 )
 
         scs = int(served.sum())
-        n_hits = int(demand.hits.sum())
+        n_hits = int(hits.sum())
         offered = demand.n_vehicles * self.n_sub
         deficit_now = float(np.sum(self.bank.cum_deficit))
         overflow_now = float(np.sum(self.bank.cum_overflow))
@@ -414,47 +421,39 @@ class _EnergyPass:
         self.pushes += pushes
         self.defers += defers
 
-    def _serve_sustainable(
-        self, hits: np.ndarray, harvests: np.ndarray, active: np.ndarray, quotas: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, int, int]:
-        """Step the rationed controller; returns per-step rows and watermark counts.
+    def _settle(
+        self,
+        harvests: np.ndarray,
+        nominal: float | np.ndarray,
+        draw_at: Callable[[int | slice, np.ndarray, float | np.ndarray], float | np.ndarray],
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Settle the bank over one epoch; returns delivered power and end levels.
 
-        Rows are ``(n_sub, n_stations)``: users served, delivered power,
-        and the battery level after each step. The counts are the active
-        station-steps that start above the high and below the low watermark.
-
-        The epoch is served as one block. Its start levels are guessed
-        from the nominal draws (``p_const + p_per_user * min(hits, quota)``
-        when active, ``p_sleep`` asleep), the step rule decides every step
-        from its guessed level at once, and :func:`battery_run` takes the
-        steps up to the first whose guess the rule's own arithmetic
-        refutes. Only the steps after that run one by one, so the rows
-        are the step loop's, bit for bit.
+        Both rows are ``(n_sub, n_stations)``. ``nominal`` is the draw each
+        step requests if the battery never binds, one row per step or one
+        value for all; ``draw_at(s, levels, harvest)`` is the controller's
+        actual request at start ``levels``, for step ``s`` or, with
+        ``s = slice(None)``, for every step at once. The start levels are
+        guessed from the nominal draws, the controller decides every step
+        from its guess, and :func:`battery_run` takes the steps up to the
+        first whose guess the step arithmetic refutes. Only the steps
+        after that run one by one, so the rows and the bank are the step
+        loop's, bit for bit.
         """
-        sc = self.sc
-        pm = sc.power
         bank = self.bank
         dt = self.dt
-        start_level = bank.level
-        served = np.empty(hits.shape, dtype=np.int64)
-        delivered = np.empty(hits.shape)
-        level = np.empty(hits.shape)
-        nominal = np.where(active, pm.p_const + pm.p_per_user * np.minimum(hits, quotas), pm.p_sleep)
+        delivered = np.empty((self.n_sub, self.n_stations))
+        level = np.empty_like(delivered)
         guess = guess_levels(bank, harvests, nominal, dt)
-        block_served, draw = self._step_rule(guess, harvests[:, None], hits, active, quotas)
+        draw = draw_at(slice(None), guess, harvests[:, None])
         block_delivered, block_level = battery_run(bank, harvests, draw, dt, guess)
         k = len(block_level)
-        served[:k] = block_served[:k]
         delivered[:k] = block_delivered
         level[:k] = block_level
         for s, harvest in enumerate(harvests[k:].tolist(), start=k):
-            served[s], draw = self._step_rule(bank.level, harvest, hits[s], active, quotas)
-            _, delivered[s] = battery_step(bank, harvest, draw, dt)
+            _, delivered[s] = battery_step(bank, harvest, draw_at(s, bank.level, harvest), dt)
             level[s] = bank.level
-        before = np.vstack((start_level[None, :], level[:-1]))
-        pushes = int(np.count_nonzero((before > sc.high_watermark) & active))
-        defers = int(np.count_nonzero((before < sc.low_watermark) & active))
-        return served, delivered, level, pushes, defers
+        return delivered, level
 
     def _step_rule(
         self, levels: np.ndarray, harvest, hits: np.ndarray, active: np.ndarray, quotas: np.ndarray
@@ -468,44 +467,6 @@ class _EnergyPass:
         step_served, draw = sustainable_small_step(pm, levels, harvest, hits, quotas, self.dt)
         sleep_draw = np.minimum(pm.p_sleep, levels / self.dt + harvest)
         return np.where(active, step_served, 0), np.where(active, draw, sleep_draw)
-
-    def _serve_greedy(
-        self, hits: np.ndarray, harvests: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Step the always-on baseline; returns the same rows as the rationed one.
-
-        The shared ledger requests full power every step, so its block
-        needs no step rule: :func:`battery_run` checks the guessed levels
-        directly, and the steps after its first miss run one by one.
-        """
-        shared = self.shared
-        dt = self.dt
-        delivered = np.empty(self.n_sub)
-        level = np.empty(self.n_sub)
-        guess = guess_levels(shared, harvests, 1.0, dt)
-        block_delivered, block_level = battery_run(shared, harvests, 1.0, dt, guess)
-        k = len(block_level)
-        delivered[:k] = block_delivered
-        level[:k] = block_level
-        for s, harvest in enumerate(harvests[k:].tolist(), start=k):
-            _, delivered[s] = battery_step(shared, harvest, 1.0, dt)
-            level[s] = shared.level
-        served = greedy_small_step(self.sc.power, hits, delivered[:, None], self.sc.greedy_partial)
-        n = self.n_stations
-        self.bank = Battery(
-            level=np.full(n, shared.level),
-            capacity=shared.capacity,
-            cum_harvested=shared.cum_harvested,
-            cum_consumed=np.full(n, shared.cum_consumed),
-            cum_overflow=np.full(n, shared.cum_overflow),
-            cum_deficit=np.full(n, shared.cum_deficit),
-            initial_level=np.zeros(n),
-        )
-        return (
-            served,
-            np.repeat(delivered[:, None], n, axis=1),
-            np.repeat(level[:, None], n, axis=1),
-        )
 
     def report(self) -> MetricsReport:
         return MetricsReport(

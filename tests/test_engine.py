@@ -398,7 +398,7 @@ def assert_same_report(got, want):
             assert getattr(got, f.name) == getattr(want, f.name), f.name
     for name in LEDGER_FIELDS:
         np.testing.assert_array_equal(
-            getattr(got.batteries, name), getattr(want.batteries, name), err_msg=name
+            getattr(got.batteries, name), getattr(want.batteries, name), err_msg=name, strict=True
         )
 
 
@@ -486,15 +486,19 @@ def test_fallback_cases_reach_the_step_loop(monkeypatch, name):
     assert (len(steps) > 0) == (name in ("greedy-leaves-empty", "capacity-2000-midday"))
 
 
-def test_default_day_rarely_falls_back(monkeypatch):
-    sc = Scenario(seed=0)
+@pytest.mark.parametrize("policy", ["sustainable", "greedy"])
+def test_default_day_rarely_falls_back(monkeypatch, policy):
+    sc = Scenario(seed=0, policy=policy)
     steps = counting(monkeypatch, "battery_step")
     blocks = counting(monkeypatch, "battery_run")
     run(sc)
     n_steps = sc.duration // sc.step_seconds
     assert len(blocks) == sc.duration // sc.epoch_seconds
     assert sum(blocks) + len(steps) == n_steps
-    assert 0 < len(steps) < 0.05 * n_steps
+    if policy == "sustainable":
+        assert 0 < len(steps) < 0.05 * n_steps
+    else:
+        assert steps == []
 
 
 def random_scenario(rng):
