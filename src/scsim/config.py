@@ -152,37 +152,45 @@ def describe_schema() -> str:
     return "\n".join(lines)
 
 
+def _section_keys(where: str, section: str) -> dict:
+    if section not in SCHEMA:
+        known = ", ".join(SCHEMA)
+        raise ConfigError(f"{where}: unknown section [{section}] (known: {known})")
+    return SCHEMA[section]
+
+
+def _parse_value(where: str, section: str, key: str, raw_value: str) -> object:
+    """Parse one ``section.key`` value; ``where`` names its source in errors."""
+    keys = _section_keys(where, section)
+    if key not in keys:
+        raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
+    try:
+        return keys[key][0](raw_value)
+    except ValueError as exc:
+        raise ConfigError(
+            f"{where}: bad value for {section}.{key}: {raw_value!r} ({exc})"
+        ) from None
+
+
 def _parse_lines(text: str) -> dict[tuple[str, str], object]:
     values: dict[tuple[str, str], object] = {}
     section = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
+        where = f"line {lineno}"
         line = raw_line.split("#", 1)[0].strip()
         if not line:
             continue
         if line.startswith("[") and line.endswith("]"):
             section = line[1:-1].strip()
-            if section not in SCHEMA:
-                known = ", ".join(SCHEMA)
-                raise ConfigError(
-                    f"line {lineno}: unknown section [{section}] (known: {known})"
-                )
+            _section_keys(where, section)
             continue
         if "=" not in line:
-            raise ConfigError(f"line {lineno}: expected 'key = value', got {line!r}")
+            raise ConfigError(f"{where}: expected 'key = value', got {line!r}")
         if section is None:
-            raise ConfigError(f"line {lineno}: key outside any [section]")
+            raise ConfigError(f"{where}: key outside any [section]")
         key, _, raw_value = line.partition("=")
         key = key.strip()
-        raw_value = raw_value.strip()
-        if key not in SCHEMA[section]:
-            raise ConfigError(f"unknown key {key!r} in section [{section}]")
-        parser = SCHEMA[section][key][0]
-        try:
-            values[(section, key)] = parser(raw_value)
-        except ValueError as exc:
-            raise ConfigError(
-                f"line {lineno}: bad value for {section}.{key}: {raw_value!r} ({exc})"
-            ) from None
+        values[(section, key)] = _parse_value(where, section, key, raw_value.strip())
     return values
 
 
@@ -190,24 +198,13 @@ def _apply_overrides(
     values: dict[tuple[str, str], object], overrides: tuple[str, ...]
 ) -> None:
     for spec in overrides:
+        where = f"override {spec!r}"
         head, eq, raw_value = spec.partition("=")
-        if not eq:
-            raise ConfigError(f"override {spec!r}: expected section.key=value")
         section, dot, key = head.strip().partition(".")
         key = key.strip()
-        if not dot or not section or not key:
-            raise ConfigError(f"override {spec!r}: expected section.key=value")
-        if section not in SCHEMA:
-            raise ConfigError(f"override {spec!r}: unknown section [{section}]")
-        if key not in SCHEMA[section]:
-            raise ConfigError(f"override {spec!r}: unknown key {key!r} in section [{section}]")
-        parser = SCHEMA[section][key][0]
-        try:
-            values[(section, key)] = parser(raw_value.strip())
-        except ValueError as exc:
-            raise ConfigError(
-                f"override {spec!r}: bad value for {section}.{key} ({exc})"
-            ) from None
+        if not eq or not dot or not section or not key:
+            raise ConfigError(f"{where}: expected section.key=value")
+        values[(section, key)] = _parse_value(where, section, key, raw_value.strip())
 
 
 def parse_settings(text: str, overrides: tuple[str, ...] = ()) -> RunSettings:

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 
@@ -18,8 +19,7 @@ __all__ = [
     "harvest_rates",
     "mean_rate",
     "battery_step",
-    "guess_levels",
-    "battery_run",
+    "settle",
     "ledger_residual",
 ]
 
@@ -118,9 +118,9 @@ class Battery:
     initial_level: float | np.ndarray = field(default=None)  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
-        if self.capacity < 0:
-            raise ValueError("capacity must be >= 0")
-        if np.any(np.asarray(self.level) < 0):
+        if not self.capacity >= 0:
+            raise ValueError(f"capacity must be >= 0 (inf allowed), got {self.capacity}")
+        if not np.all(np.asarray(self.level) >= 0):
             raise ValueError("level must be >= 0")
         if np.any(np.asarray(self.level) > self.capacity):
             raise ValueError("level must not exceed capacity")
@@ -133,8 +133,9 @@ def battery_step(
 ) -> tuple[Battery, float | np.ndarray]:
     """Advance the battery one interval: harvest first, then consume.
 
-    ``harvest`` and ``draw`` are power rates held constant over ``dt``
-    seconds. Delivered power is capped by what the store plus this
+    This is the reference rule that :func:`settle` reproduces a block at a
+    time. ``harvest`` and ``draw`` are power rates held constant over
+    ``dt`` seconds. Delivered power is capped by what the store plus this
     interval's harvest can supply; the gap is booked as deficit. Charge
     beyond ``capacity`` is booked as overflow. Mutates ``batt`` and
     returns it along with the delivered power.
@@ -159,19 +160,52 @@ def battery_step(
     return batt, delivered / dt
 
 
-def guess_levels(
+def settle(
+    batt: Battery,
+    harvest: np.ndarray,
+    nominal: float | np.ndarray,
+    draw_at: Callable[[int, np.ndarray, np.ndarray], float | np.ndarray],
+    dt: float,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Advance the battery over a block of steps whose draws depend on its level.
+
+    ``harvest`` holds one rate per step, shared by every battery;
+    ``nominal`` the rate each step requests if the battery never binds,
+    one row per step shaped like ``batt.level``, or one value for all.
+    ``draw_at(k, levels, harvest)`` returns the rates the steps from ``k``
+    on request at the given start levels (one row per step; ``harvest``
+    shaped to broadcast over them). Each pass guesses the start levels of
+    the unsettled steps from the nominal draws, lets ``draw_at`` decide
+    from the guess, and books the steps up to the first whose end level
+    the step rule finds off the next guess; the rest is guessed again. A
+    guess's first row is the true level, so each pass books at least one
+    step, and the rows and ``batt`` end bit-identical to a loop of
+    :func:`battery_step`. Returns the delivered power and the end level
+    of every step.
+    """
+    if not dt > 0:
+        raise ValueError("dt must be > 0")
+    delivered = np.empty((len(harvest),) + np.shape(batt.level))
+    level = np.empty_like(delivered)
+    k = 0
+    while k < len(harvest):
+        rest = harvest[k:]
+        guess = _guess_levels(batt, rest, nominal[k:] if np.ndim(nominal) else nominal, dt)
+        draw = draw_at(k, guess, _per_step(rest, batt))
+        k += _battery_run(batt, rest, draw, dt, guess, delivered[k:], level[k:])
+    return delivered, level
+
+
+def _guess_levels(
     batt: Battery, harvest: np.ndarray, draw: float | np.ndarray, dt: float
 ) -> np.ndarray:
     """Guess the level at the start of each of a block of steps.
 
-    ``harvest`` holds one rate per step, shared by every battery; ``draw``
-    holds the nominal rate each step requests, one row per step shaped
-    like ``batt.level``, or one value for all. The guess is the level if
-    every step delivered its nominal draw, built by one sequential
-    accumulate of the same additions, in the same order, as a loop of
-    :func:`battery_step`. Once a battery's guess would end a step below 0
-    or above a finite capacity, it stays at that bound from there on.
-    Returns one row per step; row 0 is ``batt.level``.
+    The guess is the level if every step delivered its nominal ``draw``,
+    built by one sequential accumulate of the same additions, in the same
+    order, as a loop of :func:`battery_step`. Once a battery's guess would
+    end a step below 0 or above a finite capacity, it stays at that bound
+    from there on. Returns one row per step; row 0 is ``batt.level``.
     """
     shape = (len(harvest),) + np.shape(batt.level)
     rows = np.empty((2 * shape[0],) + shape[1:])
@@ -185,30 +219,23 @@ def guess_levels(
     return np.where(np.logical_or.accumulate(out, axis=0), bound, levels)
 
 
-def battery_run(
+def _battery_run(
     batt: Battery,
     harvest: np.ndarray,
     draw: float | np.ndarray,
     dt: float,
     start: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the battery over the leading steps of a block whose start levels hold.
+    delivered_out: np.ndarray,
+    level_out: np.ndarray,
+) -> int:
+    """Check guessed start levels and book the leading steps they get right.
 
-    The block twin of :func:`battery_step`. ``start`` holds a guess of the
-    level at the start of each step (see :func:`guess_levels`; row 0 must
-    be ``batt.level``), ``harvest`` one rate per step, and ``draw`` the
-    rate each step requests from its guessed level. The step rule runs
-    on every row at once, elementwise, with the same arithmetic as
-    :func:`battery_step`. A row whose start level is right gives the
-    loop's outcome, so the block advances through the first step whose
-    end level misses the next guess: at least one step, at most all.
-    The ledger books those steps with sequential accumulates in loop
-    order, leaving ``batt`` bit-identical to a loop of
-    :func:`battery_step`; ``cum_harvested`` stays a scalar. Returns the
-    delivered power and the end level of each step taken.
+    Runs the :func:`battery_step` arithmetic on every row of ``start`` at
+    once and takes the steps through the first whose end level misses the
+    next row: at least one step, since row 0 is ``batt.level``, at most
+    all. Writes the delivered power and end level of each step taken to
+    the leading rows of the two outputs and returns how many it took.
     """
-    if not dt > 0:
-        raise ValueError("dt must be > 0")
     harvested = _per_step(harvest, batt) * dt
     available = start + harvested
     requested = draw * dt
@@ -228,7 +255,9 @@ def battery_run(
     batt.cum_harvested = float(_add_rows(batt.cum_harvested, harvested[:k].ravel()))
     batt.cum_consumed = _add_rows(batt.cum_consumed, delivered[:k])
     batt.cum_deficit = _add_rows(batt.cum_deficit, (requested - delivered)[:k])
-    return delivered[:k] / dt, after[:k]
+    delivered_out[:k] = delivered[:k] / dt
+    level_out[:k] = after[:k]
+    return k
 
 
 def _per_step(harvest: np.ndarray, batt: Battery) -> np.ndarray:

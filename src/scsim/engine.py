@@ -30,12 +30,11 @@ from .catalog import build_catalog
 from .energy import (
     Battery,
     EnergyProfile,
-    battery_run,
-    battery_step,
-    guess_levels,
+    battery_step,  # not called here: perfbench/tracing.py looks it up in this module
     harvest_rates,
     ledger_residual,
     mean_rate,
+    settle,
 )
 from .mobility import (
     Highway,
@@ -255,7 +254,8 @@ def _demand_pass(sc: Scenario) -> Iterator[DemandEpoch]:
             offsets = np.arange(s0 + 1, s1 + 1) * dt
             positions = vehicles.positions_at(offsets, hw)
             cells_block = cell_indices(positions, hw)
-            crossed = cells_block != np.vstack((prev_cells[None, :], cells_block[:-1]))
+            start_cells = np.vstack((prev_cells[None, :], cells_block[:-1]))
+            crossed = cells_block != start_cells
             changed = crossed.any(axis=1)
             lookup = cells_block * (sc.n_files + 1) + contents
             cached = np.empty(lookup.shape, dtype=bool)
@@ -264,8 +264,7 @@ def _demand_pass(sc: Scenario) -> Iterator[DemandEpoch]:
                 # handover lookahead from each step's starting positions
                 starts = np.vstack((prev_pos[None, :], positions[:-1]))
                 flat, nxt, eta = handovers_from_arrays(
-                    starts.ravel(), np.tile(directions, s1 - s0), np.tile(speeds, s1 - s0),
-                    hw, horizon=dt,
+                    starts, start_cells, directions, speeds, hw, horizon=dt
                 )
                 bounds = np.searchsorted(flat // n_veh, np.arange(s1 - s0 + 1)).tolist()
                 ahead = list(zip(contents[flat % n_veh].tolist(), nxt.tolist(), eta.tolist()))
@@ -330,9 +329,9 @@ class _EnergyPass:
     Fed one :class:`DemandEpoch` at a time through :meth:`serve`; the
     per-station bank and the running totals live here, so several passes
     can consume one demand stream side by side. Both policies settle the
-    same bank through :meth:`_settle` and differ only in the draw their
-    step controller requests: the sustainable one rations it, the greedy
-    one always asks for full power.
+    same bank through :func:`~scsim.energy.settle` and differ only in the
+    draw their step controller requests: the sustainable one rations it,
+    the greedy one always asks for full power.
     """
 
     def __init__(self, sc: Scenario, step_hook: Callable[[StepRecord], None] | None = None):
@@ -361,17 +360,17 @@ class _EnergyPass:
             active, quotas = sustainable_large_step(pm, start_level, forecast, float(sc.epoch_seconds))
             nominal = np.where(active, pm.p_const + pm.p_per_user * np.minimum(hits, quotas), pm.p_sleep)
 
-            def draw_at(s, levels, harvest):
-                return self._step_rule(levels, harvest, hits[s], active, quotas)[1]
+            def draw_at(k, levels, harvest):
+                return self._step_rule(levels, harvest, hits[k:], active, quotas)[1]
 
-            delivered, level = self._settle(harvests, nominal, draw_at)
+            delivered, level = settle(self.bank, harvests, nominal, draw_at, self.dt)
             before = np.vstack((start_level[None, :], level[:-1]))
             served, _ = self._step_rule(before, harvests[:, None], hits, active, quotas)
             pushes = int(np.count_nonzero((before > sc.high_watermark) & active))
             defers = int(np.count_nonzero((before < sc.low_watermark) & active))
         else:
             active, quotas = greedy_large_step(pm, self.n_stations)
-            delivered, level = self._settle(harvests, 1.0, lambda *_: 1.0)
+            delivered, level = settle(self.bank, harvests, 1.0, lambda *_: 1.0, self.dt)
             served = greedy_small_step(pm, hits, delivered, sc.greedy_partial)
             pushes = defers = 0
         self.steps += self.n_sub
@@ -420,40 +419,6 @@ class _EnergyPass:
         self.continuity += demand.continuity
         self.pushes += pushes
         self.defers += defers
-
-    def _settle(
-        self,
-        harvests: np.ndarray,
-        nominal: float | np.ndarray,
-        draw_at: Callable[[int | slice, np.ndarray, float | np.ndarray], float | np.ndarray],
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Settle the bank over one epoch; returns delivered power and end levels.
-
-        Both rows are ``(n_sub, n_stations)``. ``nominal`` is the draw each
-        step requests if the battery never binds, one row per step or one
-        value for all; ``draw_at(s, levels, harvest)`` is the controller's
-        actual request at start ``levels``, for step ``s`` or, with
-        ``s = slice(None)``, for every step at once. The start levels are
-        guessed from the nominal draws, the controller decides every step
-        from its guess, and :func:`battery_run` takes the steps up to the
-        first whose guess the step arithmetic refutes. Only the steps
-        after that run one by one, so the rows and the bank are the step
-        loop's, bit for bit.
-        """
-        bank = self.bank
-        dt = self.dt
-        delivered = np.empty((self.n_sub, self.n_stations))
-        level = np.empty_like(delivered)
-        guess = guess_levels(bank, harvests, nominal, dt)
-        draw = draw_at(slice(None), guess, harvests[:, None])
-        block_delivered, block_level = battery_run(bank, harvests, draw, dt, guess)
-        k = len(block_level)
-        delivered[:k] = block_delivered
-        level[:k] = block_level
-        for s, harvest in enumerate(harvests[k:].tolist(), start=k):
-            _, delivered[s] = battery_step(bank, harvest, draw_at(s, bank.level, harvest), dt)
-            level[s] = bank.level
-        return delivered, level
 
     def _step_rule(
         self, levels: np.ndarray, harvest, hits: np.ndarray, active: np.ndarray, quotas: np.ndarray

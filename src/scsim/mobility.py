@@ -82,8 +82,10 @@ class TrafficProfile:
     def __post_init__(self) -> None:
         if not 0.0 <= self.floor_fraction <= 1.0:
             raise ValueError("floor_fraction must lie in [0, 1]")
-        if not self.peak_width_h > 0:
-            raise ValueError("peak_width_h must be > 0")
+        if not 0 < self.peak_width_h < np.inf:
+            raise ValueError(f"peak_width_h must be finite and > 0, got {self.peak_width_h}")
+        if not np.all(np.isfinite(self.peak_hours)):
+            raise ValueError(f"peak_hours must be finite, got {self.peak_hours}")
         if self.base_density < 0 or not np.isfinite(self.base_density):
             raise ValueError("base_density must be finite and >= 0")
 
@@ -163,6 +165,7 @@ def cell_indices(positions: np.ndarray, highway: Highway) -> np.ndarray:
 
 def handovers_from_arrays(
     position: np.ndarray,
+    cells: np.ndarray,
     direction: np.ndarray,
     speed: np.ndarray,
     highway: Highway,
@@ -170,14 +173,16 @@ def handovers_from_arrays(
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Handover lookahead: each vehicle's next cell and when it gets there.
 
-    Returns (vehicle indices, next cell index, eta seconds) for every
-    vehicle whose next boundary crossing falls within ``horizon`` seconds.
-    A vehicle sitting on a boundary already belongs to the higher cell, so
-    travelling forward it has a full cell to cross, while travelling
-    backward it is about to exit immediately (eta 0).
+    ``cells`` holds the cell of each ``position`` (see :func:`cell_indices`);
+    both may be ``(steps, n)``, with ``direction`` and ``speed`` one entry
+    per vehicle. Returns (flat indices into ``position``, next cell index,
+    eta seconds) for every position whose next boundary crossing falls
+    within ``horizon`` seconds. A vehicle sitting on a boundary already
+    belongs to the higher cell, so travelling forward it has a full cell
+    to cross, while travelling backward it is about to exit immediately
+    (eta 0).
     """
     cl = highway.cell_length
-    cells = cell_indices(position, highway)
     forward = direction > 0
     dist = np.where(
         forward,
@@ -185,7 +190,7 @@ def handovers_from_arrays(
         position - cells * cl,
     )
     eta = dist / speed
-    mask = eta <= horizon
-    idx = np.nonzero(mask)[0]
-    nxt = (cells[idx] + np.where(forward[idx], 1, -1)) % highway.n_stations
-    return idx, nxt, eta[idx]
+    idx = np.flatnonzero(eta <= horizon)
+    ahead = np.where(forward[idx % forward.size], 1, -1)
+    nxt = (cells.ravel()[idx] + ahead) % highway.n_stations
+    return idx, nxt, eta.ravel()[idx]

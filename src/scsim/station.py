@@ -28,8 +28,9 @@ class PowerModel:
     def __post_init__(self) -> None:
         if self.max_users < 1:
             raise ValueError("max_users must be >= 1")
-        if min(self.p_const, self.p_per_user, self.p_sleep, self.rate_per_user_mbps) < 0:
-            raise ValueError("power and rate parameters must be >= 0")
+        rates = (self.p_const, self.p_per_user, self.p_sleep, self.rate_per_user_mbps)
+        if not all(0 <= v < math.inf for v in rates):
+            raise ValueError("power and rate parameters must be finite and >= 0")
         full = self.p_const + self.max_users * self.p_per_user
         if abs(full - 1.0) > 1e-9:
             raise ValueError(f"p_const + max_users * p_per_user must equal 1.0, got {full}")

@@ -109,7 +109,7 @@ def reference_run(scenario, step_hook=None):
 
                 if prefetch_on and changed:
                     idx, nxt, eta = handovers_from_arrays(
-                        prev_pos, directions, speeds, hw, horizon=dt
+                        prev_pos, cell_indices(prev_pos, hw), directions, speeds, hw, horizon=dt
                     )
                     if idx.size:
                         triples = [

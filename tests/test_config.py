@@ -174,6 +174,12 @@ def test_scenario_invariants_surface_as_config_errors():
         parse_settings("", ("energy.sunrise_h=-inf",))
     with pytest.raises(ConfigError, match="gamma"):
         parse_settings("", ("catalog.gamma=inf",))
+    with pytest.raises(ConfigError, match="peak_hours"):
+        parse_settings("", ("traffic.peak_hour_morning=inf",))
+    with pytest.raises(ConfigError, match="peak_width_h"):
+        parse_settings("", ("traffic.peak_width_h=inf",))
+    with pytest.raises(ConfigError, match="finite"):
+        parse_settings("", ("station.rate_per_user_mbps=inf",))
 
 
 def test_power_normalization_enforced_via_config():

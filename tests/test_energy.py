@@ -8,12 +8,11 @@ import pytest
 from scsim.energy import (
     Battery,
     EnergyProfile,
-    battery_run,
     battery_step,
-    guess_levels,
     harvest_rates,
     ledger_residual,
     mean_rate,
+    settle,
 )
 
 
@@ -163,6 +162,11 @@ class TestBatteryStep:
             Battery(level=2.0, capacity=1.0)
         with pytest.raises(ValueError):
             Battery(capacity=-1.0)
+        with pytest.raises(ValueError, match="capacity"):
+            Battery(capacity=math.nan)
+        with pytest.raises(ValueError, match="level"):
+            Battery(level=math.nan)
+        assert Battery(capacity=math.inf).capacity == math.inf
         with pytest.raises(ValueError):
             battery_step(Battery(), 0.0, 0.0, dt=0.0)
 
@@ -170,26 +174,53 @@ class TestBatteryStep:
 LEDGER = ("level", "cum_harvested", "cum_consumed", "cum_overflow", "cum_deficit")
 
 
-def loop_run(batt, harvest, draw, dt):
-    """The step loop a block replaces: delivered power and end level per step."""
+def loop_run(batt, harvest, rule, dt):
+    """The step loop :func:`settle` replaces: delivered power and end level per step.
+
+    ``rule(s, level, harvest)`` is the rate step ``s`` requests at ``level``.
+    """
     delivered, level = [], []
     for s, h in enumerate(harvest.tolist()):
-        _, d = battery_step(batt, h, draw[s] if np.ndim(draw) else draw, dt)
+        _, d = battery_step(batt, h, rule(s, batt.level, h), dt)
         delivered.append(d)
         level.append(batt.level)
     shape = (len(harvest),) + np.shape(batt.level)
     return np.reshape(delivered, shape), np.reshape(level, shape)
 
 
+def recording(draw):
+    """A level-blind controller requesting ``draw``; logs each pass's first step and guess."""
+    passes = []
+
+    def draw_at(k, levels, harvest):
+        passes.append((k, levels.copy()))
+        return draw[k:] if np.ndim(draw) else draw
+
+    return draw_at, passes
+
+
+def assert_same_ledger(got, want):
+    for name in LEDGER:
+        assert type(getattr(got, name)) is type(getattr(want, name)), name
+        np.testing.assert_array_equal(getattr(got, name), getattr(want, name), err_msg=name)
+
+
 class TestBatteryRun:
     def test_guess_follows_nominal_draws_and_pins_at_bounds(self):
         batt = Battery(level=np.array([1.0, 1.25]), capacity=1.5)
         draw = np.array([[0.4, 0.0]] * 5)
-        guess = guess_levels(batt, np.array([0.0, 0.25, 0.25, 0.0, 0.0]), draw, dt=1.0)
-        # station 0 ends step 3 below zero, station 1 ends step 2 above capacity
+        draw_at, passes = recording(draw)
+        _, level = settle(batt, np.array([0.0, 0.25, 0.25, 0.0, 0.0]), draw, draw_at, dt=1.0)
+        # station 0 ends step 3 below zero, station 1 ends step 2 above
+        # capacity; the pinned guesses hold, so one pass settles the block
+        ((k, guess),) = passes
+        assert k == 0
         assert guess[:, 0].tolist() == [1.0, 0.6, 0.44999999999999996, 0.29999999999999993, 0.0]
         assert guess[:, 1].tolist() == [1.25, 1.25, 1.5, 1.5, 1.5]
-        scalar = guess_levels(Battery(level=0.5), np.zeros(3), 1.0, dt=1.0)
+        np.testing.assert_array_equal(level[:-1], guess[1:])
+        draw_at, passes = recording(1.0)
+        settle(Battery(level=0.5), np.zeros(3), 1.0, draw_at, dt=1.0)
+        ((_, scalar),) = passes
         assert scalar.tolist() == [0.5, 0.0, 0.0]
 
     def test_unbinding_block_takes_every_step(self):
@@ -197,19 +228,18 @@ class TestBatteryRun:
         draw = np.array([[0.2, 0.5], [0.1, 0.7], [0.3, 0.2], [0.6, 0.1]])
         batt = Battery(level=np.array([2.0, 3.0]))
         want = Battery(level=np.array([2.0, 3.0]))
-        delivered, level = battery_run(batt, harvest, draw, 1.0, guess_levels(batt, harvest, draw, 1.0))
-        want_delivered, want_level = loop_run(want, harvest, draw, 1.0)
-        assert len(level) == 4
+        draw_at, passes = recording(draw)
+        delivered, level = settle(batt, harvest, draw, draw_at, 1.0)
+        want_delivered, want_level = loop_run(want, harvest, lambda s, *_: draw[s], 1.0)
+        assert [k for k, _ in passes] == [0]
         np.testing.assert_array_equal(delivered, want_delivered)
         np.testing.assert_array_equal(level, want_level)
-        for name in LEDGER:
-            assert type(getattr(batt, name)) is type(getattr(want, name)), name
-            np.testing.assert_array_equal(getattr(batt, name), getattr(want, name), err_msg=name)
+        assert_same_ledger(batt, want)
 
     def test_block_then_loop_matches_step_loop_bit_for_bit(self):
-        """Wrong guesses stop the block; the loop from there gives the loop's ledger."""
+        """Wrong guesses are guessed again; the result is the loop's, bit for bit."""
         rng = np.random.default_rng(7)
-        stopped = 0
+        reguessed = 0
         for trial in range(300):
             shape = () if trial % 3 == 0 else (int(rng.integers(1, 5)),)
             capacity = float(rng.choice([math.inf, rng.uniform(0.5, 4.0)]))
@@ -218,23 +248,31 @@ class TestBatteryRun:
             level0 = rng.uniform(0.0, min(capacity, 3.0), size=shape)
             level0 = float(level0) if shape == () else level0
             harvest = rng.uniform(0.0, 1.5, size=n_sub) * rng.integers(0, 2, size=n_sub)
-            draw = rng.uniform(0.0, 1.5, size=(n_sub,) + shape)
+            # the controller asks for its nominal draw above a threshold
+            # level and for less below it, so guesses from nominal miss
+            nominal = rng.uniform(0.0, 1.5, size=(n_sub,) + shape)
+            low = nominal * rng.uniform(0.0, 1.0, size=(n_sub,) + shape)
+            threshold = rng.uniform(0.0, 2.0, size=(n_sub,) + shape)
+            ks = []
+
+            def draw_at(k, levels, h):
+                ks.append(k)
+                return np.where(levels > threshold[k:], nominal[k:], low[k:])
+
+            def rule(s, level, h):
+                return np.where(level > threshold[s], nominal[s], low[s])[()]
+
             batt = Battery(level=level0, capacity=capacity)
             want = Battery(level=level0, capacity=capacity)
-            guess = guess_levels(batt, harvest, draw, dt)
-            delivered, level = battery_run(batt, harvest, draw, dt, guess)
-            k = len(level)
-            assert 1 <= k <= n_sub
-            stopped += k < n_sub
-            rest_delivered, rest_level = loop_run(batt, harvest[k:], draw[k:], dt)
-            want_delivered, want_level = loop_run(want, harvest, draw, dt)
-            np.testing.assert_array_equal(np.concatenate([delivered, rest_delivered]), want_delivered)
-            np.testing.assert_array_equal(np.concatenate([level, rest_level]), want_level)
-            for name in LEDGER:
-                assert type(getattr(batt, name)) is type(getattr(want, name)), name
-                np.testing.assert_array_equal(getattr(batt, name), getattr(want, name), err_msg=name)
-        assert stopped > 50
+            delivered, level = settle(batt, harvest, nominal, draw_at, dt)
+            want_delivered, want_level = loop_run(want, harvest, rule, dt)
+            assert ks[0] == 0 and ks == sorted(set(ks)) and ks[-1] < n_sub
+            reguessed += len(ks) > 1
+            np.testing.assert_array_equal(delivered, want_delivered)
+            np.testing.assert_array_equal(level, want_level)
+            assert_same_ledger(batt, want)
+        assert reguessed > 50
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            battery_run(Battery(), np.zeros(2), 0.0, 0.0, np.zeros(2))
+            settle(Battery(), np.zeros(2), 0.0, lambda *_: 0.0, 0.0)

@@ -6,7 +6,7 @@ import pytest
 import scipy.stats
 
 from engine_reference import reference_run
-from scsim import engine
+from scsim import energy, engine
 from scsim.catalog import build_catalog, hit_rate, top_k
 from scsim.energy import EnergyProfile, ledger_residual
 from scsim.engine import (
@@ -346,7 +346,7 @@ SHARED_DEMAND_CASES = {
 }
 
 # Short solar days on which an epoch's guessed battery levels go wrong, so
-# the energy passes fall back to the step loop part way through.
+# the energy passes guess the rest of the epoch again part way through.
 FALLBACK_CASES = {
     # harvest rises through the epoch, so early steps cannot afford the quota
     "binding-serving": Scenario(
@@ -418,62 +418,95 @@ def test_compare_energy_matches_separate_runs(sc):
         assert all(em.offered == 0 for em in sus.epochs)
 
 
-def counting(monkeypatch, name):
-    """Count the engine's calls of ``name`` through a delegating wrapper."""
-    real = getattr(engine, name)
+def counting_steps(monkeypatch):
+    """Count calls of ``battery_step`` made through the engine or the energy module."""
     calls = []
+    for module in (engine, energy):
+        real = module.battery_step
 
-    def counted(*args):
-        result = real(*args)
-        # battery_run books the steps it takes
-        calls.append(len(result[1]) if name == "battery_run" else 1)
-        return result
+        def counted(*args, real=real):
+            calls.append(1)
+            return real(*args)
 
-    monkeypatch.setattr(engine, name, counted)
+        monkeypatch.setattr(module, "battery_step", counted)
     return calls
+
+
+def counting_blocks(monkeypatch):
+    """Per :func:`settle` pass, the steps left in its epoch and the steps it books."""
+    real = energy._battery_run
+    blocks = []
+
+    def counted(batt, harvest, *args):
+        taken = real(batt, harvest, *args)
+        blocks.append((len(harvest), taken))
+        return taken
+
+    monkeypatch.setattr(energy, "_battery_run", counted)
+    return blocks
+
+
+def leaking(monkeypatch, when):
+    """Make the check/book helper consume 1e-6 extra per step on the passes ``when`` picks."""
+    real = energy._battery_run
+    leaks = []
+
+    def leaky(batt, harvest, *args):
+        taken = real(batt, harvest, *args)
+        if when(len(harvest)):
+            leaks.append(taken)
+            batt.cum_consumed = batt.cum_consumed + 1e-6 * taken
+        return taken
+
+    monkeypatch.setattr(energy, "_battery_run", leaky)
+    return leaks
 
 
 @pytest.mark.parametrize("policy", ["sustainable", "greedy"])
 def test_run_raises_when_battery_ledger_drifts(monkeypatch, policy):
-    # QUICK's night epochs are settled as blocks, so leak there
-    real_run = engine.battery_run
-    steps = counting(monkeypatch, "battery_step")
-
-    def leaky(batt, harvest, draw, dt, start):
-        delivered, level = real_run(batt, harvest, draw, dt, start)
-        batt.cum_consumed = batt.cum_consumed + 1e-6 * len(level)
-        return delivered, level
-
-    monkeypatch.setattr(engine, "battery_run", leaky)
+    # QUICK's night epochs are settled in one pass each, so leak there
+    steps = counting_steps(monkeypatch)
+    leaks = leaking(monkeypatch, lambda n_left: True)
     with pytest.raises(RuntimeError, match="ledger"):
         run(replace(QUICK, policy=policy))
-    assert steps == []
+    assert leaks and steps == []
 
 
 @pytest.mark.parametrize("policy", ["sustainable", "greedy"])
 def test_run_raises_when_fallback_ledger_drifts(monkeypatch, policy):
-    real_step = engine.battery_step
-    steps = []
-
-    def leaky(batt, harvest, draw, dt):
-        steps.append(1)
-        batt, delivered = real_step(batt, harvest, draw, dt)
-        batt.cum_consumed = batt.cum_consumed + 1e-6
-        return batt, delivered
-
-    monkeypatch.setattr(engine, "battery_step", leaky)
+    # leak only on the passes that guess an epoch again after a miss
+    sc = replace(FALLBACK_CASES["greedy-leaves-empty"], policy=policy)
+    n_sub = sc.epoch_seconds // sc.step_seconds
+    steps = counting_steps(monkeypatch)
+    leaks = leaking(monkeypatch, lambda n_left: n_left < n_sub)
     with pytest.raises(RuntimeError, match="ledger"):
-        run(replace(FALLBACK_CASES["greedy-leaves-empty"], policy=policy))
-    assert steps
+        run(sc)
+    assert leaks and steps == []
+
+
+def assert_blocks_cover_every_step(sc, blocks):
+    """Each epoch's passes start at its first step and book every step once."""
+    n_sub = sc.epoch_seconds // sc.step_seconds
+    left = 0
+    for n_left, taken in blocks:
+        assert n_left == (left or n_sub)
+        assert 1 <= taken <= n_left
+        left = n_left - taken
+    assert left == 0
+    assert sum(taken for _, taken in blocks) == sc.duration // sc.step_seconds
 
 
 @pytest.mark.parametrize("name", FALLBACK_CASES)
 def test_fallback_cases_reach_the_step_loop(monkeypatch, name):
+    """Every case needs more than one pass in some epoch, and no step loop runs."""
     sc = FALLBACK_CASES[name]
-    steps = counting(monkeypatch, "battery_step")
+    n_epochs = sc.duration // sc.epoch_seconds
+    steps = counting_steps(monkeypatch)
+    blocks = counting_blocks(monkeypatch)
     records = []
     rep = run(sc, step_hook=records.append)
-    assert 0 < len(steps) < sc.duration // sc.step_seconds
+    assert_blocks_cover_every_step(sc, blocks)
+    assert len(blocks) > n_epochs
     if name == "binding-serving":
         assert any(np.any(r.served < np.minimum(r.hits, r.quotas)) for r in records)
     if name == "capacity-2000-midday":
@@ -481,24 +514,27 @@ def test_fallback_cases_reach_the_step_loop(monkeypatch, name):
     if name == "sleeper-drains-empty":
         assert not any(r.active.any() for r in records)
         assert rep.epochs[1].mean_battery > 0 and rep.epochs[2].mean_battery == 0
-    steps.clear()
+    blocks.clear()
     run(replace(sc, policy="greedy"))
-    assert (len(steps) > 0) == (name in ("greedy-leaves-empty", "capacity-2000-midday"))
+    assert_blocks_cover_every_step(sc, blocks)
+    assert (len(blocks) > n_epochs) == (name in ("greedy-leaves-empty", "capacity-2000-midday"))
+    assert steps == []
 
 
 @pytest.mark.parametrize("policy", ["sustainable", "greedy"])
 def test_default_day_rarely_falls_back(monkeypatch, policy):
     sc = Scenario(seed=0, policy=policy)
-    steps = counting(monkeypatch, "battery_step")
-    blocks = counting(monkeypatch, "battery_run")
+    steps = counting_steps(monkeypatch)
+    blocks = counting_blocks(monkeypatch)
     run(sc)
     n_steps = sc.duration // sc.step_seconds
-    assert len(blocks) == sc.duration // sc.epoch_seconds
-    assert sum(blocks) + len(steps) == n_steps
+    n_epochs = sc.duration // sc.epoch_seconds
+    assert_blocks_cover_every_step(sc, blocks)
     if policy == "sustainable":
-        assert 0 < len(steps) < 0.05 * n_steps
+        assert n_epochs < len(blocks) < 0.05 * n_steps
     else:
-        assert steps == []
+        assert len(blocks) == n_epochs
+    assert steps == []
 
 
 def random_scenario(rng):

@@ -21,8 +21,9 @@ CAT = build_catalog(1000, 1.0)
 
 def next_cell(position, direction, speed=25.0):
     """One-vehicle handover lookahead without a horizon."""
+    pos = np.array([position])
     _, nxt, eta = handovers_from_arrays(
-        np.array([position]), np.array([direction]), np.array([speed]), HW, np.inf
+        pos, cell_indices(pos, HW), np.array([direction]), np.array([speed]), HW, np.inf
     )
     return int(nxt[0]), float(eta[0])
 
@@ -79,6 +80,11 @@ class TestTrafficMultiplier:
             TrafficProfile(peak_width_h=0.0)
         with pytest.raises(ValueError):
             TrafficProfile(base_density=-0.01)
+        with pytest.raises(ValueError, match="peak_width_h"):
+            TrafficProfile(peak_width_h=np.inf)
+        for hours in ((np.inf, 18.0), (8.0, -np.inf), (np.nan, 18.0)):
+            with pytest.raises(ValueError, match="peak_hours"):
+                TrafficProfile(peak_hours=hours)
 
 
 class TestSpawn:
@@ -218,7 +224,9 @@ class TestPredictNextCell:
         position = rng.random(300) * HW.length
         direction = rng.choice([-1, 1], size=300)
         speed = 1.0 + rng.random(300) * 40.0
-        idx, _, eta = handovers_from_arrays(position, direction, speed, HW, np.inf)
+        idx, _, eta = handovers_from_arrays(
+            position, cell_indices(position, HW), direction, speed, HW, np.inf
+        )
         assert idx.size == 300
         landed = (position + direction * speed * eta) % HW.length
         off = landed % HW.cell_length
@@ -226,7 +234,8 @@ class TestPredictNextCell:
 
     def test_vectorised_matches_scalar(self):
         veh = spawn_vehicles(0.02, HW, CAT, np.random.default_rng(13))
-        idx, nxt, eta = handovers_from_arrays(veh.position, veh.direction, veh.speed, HW, np.inf)
+        cells = cell_indices(veh.position, HW)
+        idx, nxt, eta = handovers_from_arrays(veh.position, cells, veh.direction, veh.speed, HW, np.inf)
         assert idx.size == veh.n
         for k in range(veh.n):
             want_nxt, want_eta = predict_next_cell(
@@ -237,10 +246,28 @@ class TestPredictNextCell:
 
     def test_horizon_filters(self):
         veh = spawn_vehicles(0.02, HW, CAT, np.random.default_rng(14))
-        idx, _, eta = handovers_from_arrays(veh.position, veh.direction, veh.speed, HW, horizon=1.0)
+        cells = cell_indices(veh.position, HW)
+        idx, _, eta = handovers_from_arrays(
+            veh.position, cells, veh.direction, veh.speed, HW, horizon=1.0
+        )
         assert np.all(eta <= 1.0)
         full_eta = [
             predict_next_cell(float(p), int(d), float(v), HW)[1]
             for p, d, v in zip(veh.position, veh.direction, veh.speed)
         ]
         assert idx.size == int((np.asarray(full_eta) <= 1.0).sum())
+        # a (steps, n) block gives the rows' results, indices flattened row-major
+        positions = veh.positions_at(np.arange(1.0, 9.0) * 7.0, HW)
+        positions[3, :5] = np.array([0.0, 1000.0, 2000.0, 9000.0, 5000.0])
+        cells = cell_indices(positions, HW)
+        idx, nxt, eta = handovers_from_arrays(
+            positions, cells, veh.direction, veh.speed, HW, horizon=1.0
+        )
+        rows = [
+            handovers_from_arrays(p, c, veh.direction, veh.speed, HW, horizon=1.0)
+            for p, c in zip(positions, cells)
+        ]
+        assert idx.tolist() == [s * veh.n + i for s, row in enumerate(rows) for i in row[0].tolist()]
+        assert nxt.tolist() == [c for row in rows for c in row[1].tolist()]
+        assert eta.tolist() == [t for row in rows for t in row[2].tolist()]
+        assert idx.size > positions.shape[0]

@@ -24,6 +24,11 @@ class TestPowerModel:
         with pytest.raises(ValueError):
             PowerModel(p_const=0.5, p_sleep=0.5)
 
+    def test_rejects_non_finite_rate(self):
+        for rate in (np.inf, np.nan):
+            with pytest.raises(ValueError, match="finite"):
+                PowerModel(rate_per_user_mbps=rate)
+
 
 class TestCacheStore:
     def test_split_partition_sizes(self):
