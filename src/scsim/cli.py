@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import sys
 from dataclasses import replace
+from functools import partial
 from pathlib import Path
 
 from .config import ConfigError, RunSettings, describe_schema, parse_settings
@@ -128,9 +129,8 @@ def _cmd_sweep_cache(settings: RunSettings, n_seeds: int) -> tuple[dict[str, str
     all_reports: list[MetricsReport] = []
     summary = ["cache_capacity,offload_mbps," + RUN_SUMMARY_HEADER]
     curves: list[list[float]] = []
-    for seed in _seed_list(settings.scenario, n_seeds):
-        base = replace(settings.scenario, seed=seed)
-        points = sweep_cache(base, sizes, settings.workers)
+    bases = [replace(settings.scenario, seed=s) for s in _seed_list(settings.scenario, n_seeds)]
+    for points in map_ordered(partial(sweep_cache, cache_sizes=sizes), bases, settings.workers):
         curves.append([p.offload_mbps for p in points])
         for p in points:
             all_reports.append(p.report)
@@ -214,7 +214,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     specs = (
         ("run", "simulate one scenario and emit daily metrics"),
-        ("sweep-cache", "rerun the scenario across cache sizes"),
+        ("sweep-cache", "simulate the scenario across cache sizes"),
         ("compare-energy", "run sustainable and greedy policies side by side"),
     )
     for name, help_text in specs:

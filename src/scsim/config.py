@@ -133,7 +133,7 @@ SCHEMA = {
         "delta_small": (_parse_int, 1, "service step in seconds"),
         "duration": (_parse_int, 86400, "run length in seconds"),
         "seed": (_parse_int, 42, "random seed"),
-        "workers": (_parse_int, 1, "parallel processes for sweeps and batches"),
+        "workers": (_parse_int, 1, "parallel processes over the seeds of --seeds"),
         "cache_sizes": (_parse_int_list, DEFAULT_CACHE_SIZES, "sizes visited by sweep-cache"),
     },
 }

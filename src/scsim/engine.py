@@ -11,7 +11,9 @@ A run is two passes. The demand pass (mobility, caching, hit lookup,
 handover continuity) never looks at the batteries and yields each
 epoch's per-step hits per cell; the energy pass (epoch plan, step
 serving, battery ledger) of one policy consumes that stream. A policy
-comparison therefore feeds one demand pass to both energy passes.
+comparison therefore feeds one demand pass to both energy passes, and a
+cache sweep moves the vehicles once for all its sizes and feeds each
+size's hits to one energy pass per size.
 
 Everything is driven by one seeded generator in a fixed consumption
 order, so a scenario and a seed pin the full output byte-for-byte.
@@ -205,52 +207,63 @@ class DemandEpoch:
     continuity: int
 
 
-def _demand_pass(sc: Scenario) -> Iterator[DemandEpoch]:
+def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpoch]]:
     """Mobility, caching and hit lookup: the policy-independent half of a run.
 
     Each epoch respawns the vehicles, refreshes the popular partitions
     under one backhaul draw per station, then steps the vehicles, stages
     prefetches ahead of handovers, and looks up hits and handover
-    continuity. The random stream is consumed in that fixed order.
+    continuity. The random stream is consumed in that fixed order, and no
+    cache state feeds it, so one pass serves several cache sizes: it moves
+    the vehicles once and yields, each epoch, one :class:`DemandEpoch` per
+    entry of ``capacities``, each as its own single-size pass would.
     """
     hw = sc.highway
     n_stations = hw.n_stations
+    n_sizes = len(capacities)
     catalog = build_catalog(sc.n_files, sc.gamma)
     rng = np.random.default_rng(sc.seed)
 
-    masks = np.zeros((n_stations, sc.n_files + 1), dtype=bool)
-    flat_masks = masks.reshape(-1)
-    caches = [CacheStore(sc.cache_capacity, sc.split_ratio, mask=masks[i]) for i in range(n_stations)]
+    masks = np.zeros((n_sizes, n_stations, sc.n_files + 1), dtype=bool)
+    flat_masks = masks.reshape(n_sizes, -1)
+    stores = [
+        [CacheStore(c, sc.split_ratio, mask=masks[k, i]) for i in range(n_stations)]
+        for k, c in enumerate(capacities)
+    ]
+    # only the sizes with prefetch slots stage anything ahead of a handover
+    prefetching = [caches for caches in stores if caches[0].prefetch_capacity > 0] if sc.prefetch_budget else []
     dt = float(sc.step_seconds)
     n_sub = sc.epoch_seconds // sc.step_seconds
-    prefetch_on = sc.prefetch_budget > 0 and caches[0].prefetch_capacity > 0
 
     for e in range(sc.duration // sc.epoch_seconds):
         t0 = e * sc.epoch_seconds
         density = sc.traffic.base_density * traffic_multiplier(sc.traffic, float(t0))
         vehicles = spawn_vehicles(density, hw, catalog, rng, speed=sc.speed)
         budgets = [sc.backhaul.realize(rng) for _ in range(n_stations)]
-        for cache, budget in zip(caches, budgets):
-            evict, fetch = plan_popular_update(cache.popular, catalog, budget, cache.popular_capacity)
-            cache.apply_popular_update(evict, fetch)
+        for caches in stores:
+            for cache, budget in zip(caches, budgets):
+                evict, fetch = plan_popular_update(cache.popular, catalog, budget, cache.popular_capacity)
+                cache.apply_popular_update(evict, fetch)
 
         n_veh = vehicles.n
         contents = vehicles.active_content
-        directions = vehicles.direction
-        speeds = vehicles.speed
         prev_cells = cell_indices(vehicles.position, hw)
         prev_pos = vehicles.position
-        hits = np.zeros((n_sub, n_stations), dtype=np.int64)
-        handovers = continuity = 0
+        hits = np.zeros((n_sizes, n_sub, n_stations), dtype=np.int64)
+        continuity = [0] * n_sizes
+        handovers = 0
 
-        # Trajectories are closed-form per epoch; evaluate them in blocks
-        # to bound the working-set size for big populations. Everything but
-        # prefetch and the cache lookups is worked out for a whole block;
-        # only those two follow the step order, since a prefetch changes
-        # what later lookups see.
-        block = max(1, min(n_sub, 1_000_000 // max(n_veh, 1)))
+        # Trajectories are closed-form per epoch; evaluate them in equal
+        # blocks of at most 1M vehicle-steps and 2M per-size hit flags, to
+        # bound the working set. Everything but prefetch and the cache
+        # lookups is worked out once for a whole block; only those two
+        # follow the step order, since a prefetch changes what later lookups
+        # see.
+        longest = max(1, min(1_000_000 // max(n_veh, 1), 2_000_000 // max(n_veh * n_sizes, 1)))
+        block = math.ceil(n_sub / math.ceil(n_sub / longest))
         for s0 in range(0, n_sub, block) if n_veh else ():
             s1 = min(s0 + block, n_sub)
+            nb = s1 - s0
             offsets = np.arange(s0 + 1, s1 + 1) * dt
             positions = vehicles.positions_at(offsets, hw)
             cells_block = cell_indices(positions, hw)
@@ -258,39 +271,37 @@ def _demand_pass(sc: Scenario) -> Iterator[DemandEpoch]:
             crossed = cells_block != start_cells
             changed = crossed.any(axis=1)
             lookup = cells_block * (sc.n_files + 1) + contents
-            cached = np.empty(lookup.shape, dtype=bool)
+            cached = np.empty((nb, n_sizes, n_veh), dtype=bool)
 
-            if prefetch_on:
+            if prefetching:
                 # handover lookahead from each step's starting positions
                 starts = np.vstack((prev_pos[None, :], positions[:-1]))
                 flat, nxt, eta = handovers_from_arrays(
-                    starts, start_cells, directions, speeds, hw, horizon=dt
+                    starts, start_cells, vehicles.direction, vehicles.speed, hw, horizon=dt
                 )
-                bounds = np.searchsorted(flat // n_veh, np.arange(s1 - s0 + 1)).tolist()
+                bounds = np.searchsorted(flat // n_veh, np.arange(nb + 1)).tolist()
                 ahead = list(zip(contents[flat % n_veh].tolist(), nxt.tolist(), eta.tolist()))
 
-            for j in range(s1 - s0):
-                if prefetch_on and changed[j] and bounds[j] < bounds[j + 1]:
+            for j in range(nb):
+                if prefetching and changed[j] and bounds[j] < bounds[j + 1]:
                     triples = ahead[bounds[j]:bounds[j + 1]]
-                    for st_idx, picks in plan_prefetch(triples, caches, sc.prefetch_budget).items():
-                        for content in picks:
-                            caches[st_idx].prefetch_insert(content)
-                np.take(flat_masks, lookup[j], out=cached[j])
+                    for caches in prefetching:
+                        for st_idx, picks in plan_prefetch(triples, caches, sc.prefetch_budget).items():
+                            for content in picks:
+                                caches[st_idx].prefetch_insert(content)
+                np.take(flat_masks, lookup[j], axis=1, out=cached[j])
 
-            slots = np.nonzero(cached)[0] * n_stations + cells_block[cached]
-            hits[s0:s1] = np.bincount(slots, minlength=hits[s0:s1].size).reshape(-1, n_stations)
+            # (step, cell) slot of every vehicle, counted per size
+            slots = np.arange(nb)[:, None] * n_stations + cells_block
+            for k in range(n_sizes):
+                hit = cached[:, k]
+                hits[k, s0:s1] = np.bincount(slots[hit], minlength=nb * n_stations).reshape(nb, n_stations)
+                continuity[k] += int(np.count_nonzero(crossed & hit))
             handovers += int(np.count_nonzero(crossed))
-            continuity += int(np.count_nonzero(crossed & cached))
             prev_cells = cells_block[-1]
             prev_pos = positions[-1]
 
-        yield DemandEpoch(
-            t0=t0,
-            n_vehicles=n_veh,
-            hits=hits,
-            handovers=handovers,
-            continuity=continuity,
-        )
+        yield [DemandEpoch(t0, n_veh, hits[k], handovers, continuity[k]) for k in range(n_sizes)]
 
 
 def _step_total(rows: np.ndarray) -> float:
@@ -461,7 +472,7 @@ def run(scenario: Scenario, step_hook: Callable[[StepRecord], None] | None = Non
     path otherwise.
     """
     energy = _EnergyPass(scenario, step_hook)
-    for demand in _demand_pass(scenario):
+    for (demand,) in _demand_pass(scenario, [scenario.cache_capacity]):
         energy.serve(demand)
     return energy.report()
 
@@ -538,27 +549,30 @@ class SweepPoint:
     report: MetricsReport
 
 
-def sweep_cache(base: Scenario, cache_sizes: list[int], workers: int = 1) -> list[SweepPoint]:
-    """Run one simulation per cache size, identical seeds across points.
+def sweep_cache(base: Scenario, cache_sizes: list[int]) -> list[SweepPoint]:
+    """Simulate ``base`` at each cache size, identical seeds across points.
 
-    The per-point figure is the time-mean number of station-served users
-    per cell scaled by the per-user rate, i.e. the offloaded throughput
-    one station sustains.
+    One demand pass serves every size, each feeding its own energy pass, so
+    a point equals a separate ``run`` at its ``cache_capacity``. The
+    per-point figure is the time-mean number of station-served users per
+    cell scaled by the per-user rate, i.e. the offloaded throughput one
+    station sustains.
     """
-    scenarios = [replace(base, cache_capacity=int(c)) for c in cache_sizes]
-    reports = run_many(scenarios, workers)
-    points = []
-    for c, rep in zip(cache_sizes, reports):
-        steps = base.duration // base.step_seconds
-        mean_served = rep.scs_served / (steps * base.highway.n_stations)
-        points.append(
-            SweepPoint(
-                cache_capacity=int(c),
-                offload_mbps=mean_served * base.power.rate_per_user_mbps,
-                report=rep,
-            )
+    passes = [_EnergyPass(replace(base, cache_capacity=int(c))) for c in cache_sizes]
+    if not passes:
+        return []
+    for demands in _demand_pass(base, [energy.sc.cache_capacity for energy in passes]):
+        for energy, demand in zip(passes, demands):
+            energy.serve(demand)
+    steps = base.duration // base.step_seconds
+    return [
+        SweepPoint(
+            cache_capacity=energy.sc.cache_capacity,
+            offload_mbps=energy.scs / (steps * base.highway.n_stations) * base.power.rate_per_user_mbps,
+            report=energy.report(),
         )
-    return points
+        for energy in passes
+    ]
 
 
 @dataclass(frozen=True)
@@ -577,7 +591,7 @@ def compare_energy(base: Scenario) -> EnergyComparison:
     greedy (defined as 1.0 when both sit at zero).
     """
     sus, greedy = passes = [_EnergyPass(replace(base, policy=p)) for p in POLICIES]
-    for demand in _demand_pass(base):
+    for (demand,) in _demand_pass(base, [base.cache_capacity]):
         for energy in passes:
             energy.serve(demand)
     if greedy.scs == 0:

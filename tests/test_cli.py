@@ -116,6 +116,20 @@ def test_compare_energy_workers_do_not_change_bytes(tmp_path):
     assert len(outputs[0]["summary.csv"].splitlines()) == 1 + 2 * 2
 
 
+def test_sweep_cache_workers_do_not_change_bytes(tmp_path):
+    outputs = []
+    for workers in (1, 2):
+        out = tmp_path / f"workers{workers}"
+        args = ["sweep-cache", "--out", out, "--seeds", "2",
+                "--override", "engine.cache_sizes=0,5,31",
+                "--override", f"engine.workers={workers}"] + FAST
+        assert run_cli(args) == 0
+        outputs.append({name: (out / name).read_bytes()
+                        for name in ("metrics.csv", "summary.csv", "plot.svg")})
+    assert outputs[0] == outputs[1]
+    seeds = [row.split(b",")[2] for row in outputs[0]["summary.csv"].splitlines()[1:]]
+    assert seeds == [b"42"] * 3 + [b"43"] * 3
+
 def test_plot_is_wellformed_svg(tmp_path):
     out = tmp_path / "res"
     run_cli(["run", "--out", out] + FAST)

@@ -418,6 +418,48 @@ def test_compare_energy_matches_separate_runs(sc):
         assert all(em.offered == 0 for em in sus.epochs)
 
 
+SWEEP_BASE = Scenario(
+    traffic=TrafficProfile(base_density=0.004, enabled=False),
+    energy=EnergyProfile(kind="constant", peak_rate=1.5),
+    duration=1800,
+)
+SWEEP_CASES = {
+    "defaults": SWEEP_BASE,
+    "no-prefetch": replace(SWEEP_BASE, prefetch_budget=0),
+    "greedy": replace(SWEEP_BASE, policy="greedy"),
+    "battery-50": replace(SWEEP_BASE, battery_capacity=50.0),
+    "zero-density": replace(SWEEP_BASE, traffic=TrafficProfile(base_density=0.0, enabled=False)),
+    "two-second-steps": replace(SWEEP_BASE, step_seconds=2),
+    # enough vehicles that the sweep splits each epoch into several blocks
+    "dense-traffic": replace(SWEEP_BASE, traffic=TrafficProfile(base_density=0.1, enabled=False), duration=900),
+}
+# no cache, sizes without prefetch slots (1 and 2 give the popular
+# partition every slot), sizes that prefetch, and a repeated size
+SWEEP_SIZES = [0, 1, 2, 5, 31, 1000, 31]
+
+
+@pytest.mark.parametrize("sc", SWEEP_CASES.values(), ids=SWEEP_CASES.keys())
+def test_sweep_cache_matches_separate_runs(sc):
+    points = sweep_cache(sc, SWEEP_SIZES)
+    assert [p.cache_capacity for p in points] == SWEEP_SIZES
+    steps = sc.duration // sc.step_seconds
+    for p in points:
+        want = run(replace(sc, cache_capacity=p.cache_capacity))
+        assert_same_report(p.report, want)
+        assert p.offload_mbps == want.scs_served / (steps * sc.highway.n_stations) * 10.0
+    if sc.traffic.base_density > 0:
+        assert points[0].report.scs_served == 0 < points[-2].report.scs_served
+
+
+def test_sweep_cache_checks_sizes_before_simulating(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulated")
+
+    monkeypatch.setattr(engine, "spawn_vehicles", refuse)
+    assert sweep_cache(SWEEP_BASE, []) == []
+    with pytest.raises(ValueError, match="cache_capacity"):
+        sweep_cache(SWEEP_BASE, [5, -1])
+
 def counting_steps(monkeypatch):
     """Count calls of ``battery_step`` made through the engine or the energy module."""
     calls = []
