@@ -10,7 +10,7 @@ and a small CLI that emits CSV metrics and SVG plots.
 """
 
 from .catalog import Catalog, build_catalog, hit_rate, sample_requests, top_k
-from .config import ConfigError, RunSettings, parse_config, parse_settings
+from .config import ConfigError, RunSettings, parse_settings
 from .energy import Battery, EnergyProfile, battery_step, harvest_rates, ledger_residual, mean_rate
 from .engine import (
     EnergyComparison,
@@ -82,7 +82,6 @@ __all__ = [
     "compare_energy",
     "ConfigError",
     "RunSettings",
-    "parse_config",
     "parse_settings",
     "__version__",
 ]

@@ -20,7 +20,6 @@ __all__ = [
     "ConfigError",
     "RunSettings",
     "DEFAULT_CACHE_SIZES",
-    "parse_config",
     "parse_settings",
     "describe_schema",
 ]
@@ -286,8 +285,3 @@ def parse_settings(text: str, overrides: tuple[str, ...] = ()) -> RunSettings:
     if any(c < 0 for c in cache_sizes):
         raise ConfigError("engine.cache_sizes entries must be >= 0")
     return RunSettings(scenario=scenario, cache_sizes=cache_sizes, workers=workers)
-
-
-def parse_config(text: str) -> Scenario:
-    """Parse config text alone into a scenario (defaults fill the gaps)."""
-    return parse_settings(text).scenario

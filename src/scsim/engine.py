@@ -242,8 +242,9 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
         budgets = [sc.backhaul.realize(rng) for _ in range(n_stations)]
         for caches in stores:
             for cache, budget in zip(caches, budgets):
-                evict, fetch = plan_popular_update(cache.popular, catalog, budget, cache.popular_capacity)
-                cache.apply_popular_update(evict, fetch)
+                cache.apply_popular_update(
+                    plan_popular_update(cache.n_popular, catalog, budget, cache.popular_capacity)
+                )
 
         n_veh = vehicles.n
         contents = vehicles.active_content

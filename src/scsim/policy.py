@@ -53,41 +53,31 @@ class BackhaulBudget:
         return int(round(self.files_per_epoch * (lo + (hi - lo) * rng.random())))
 
 
-def plan_popular_update(
-    current: set[int], catalog: Catalog, budget: int, partition_size: int
-) -> tuple[list[int], list[int]]:
-    """Plan budget-limited swaps moving the popular partition toward top-k.
+def plan_popular_update(n_popular: int, catalog: Catalog, budget: int, partition_size: int) -> int:
+    """Size of the popular partition after one budget-limited epoch update.
 
-    Free slots are filled before anything is evicted; evictions sacrifice
-    the least popular cached id for the most popular missing one. Fetches
-    (fills and swap-ins alike) each consume one unit of backhaul budget.
+    The partition is the top-``n_popular`` prefix ``1..n_popular`` of the
+    popularity-sorted catalog. Each fetch consumes one unit of backhaul
+    budget, and the partition grows toward the top ``k = min(partition_size,
+    catalog.n_files)`` ids; it never evicts anything.
 
-    Returns ``(evict, fetch)`` id lists; apply with
+    This is exactly what a general planner (fill free slots with the most
+    popular missing ids, then swap the least popular cached id for the most
+    popular missing one) does from an empty start. By induction: the
+    partition starts empty, a prefix. If it holds ``{1..m}`` then
+    ``m <= k``, so it is a subset of the target ``{1..k}``: nothing is
+    evictable, ``partition_size - m >= k - m`` slots are free, and the
+    missing ids in popularity order are ``m+1..k``. The planner fetches the
+    first ``budget`` of them, leaving the prefix ``{1..min(m + budget, k)}``.
+
+    Returns the new ``n_popular``; apply it with
     ``CacheStore.apply_popular_update``.
     """
     if budget < 0:
         raise ValueError("budget must be >= 0")
     if partition_size < 0:
         raise ValueError("partition_size must be >= 0")
-    k = min(partition_size, catalog.n_files)
-    target = set(range(1, k + 1))
-    missing = sorted(target - current)
-    # least popular victims first: ids sort by popularity, so take from the top
-    evictable = sorted((c for c in current if c not in target), reverse=True)
-    free = partition_size - len(current)
-    evict: list[int] = []
-    fetch: list[int] = []
-    for content in missing:
-        if len(fetch) >= budget:
-            break
-        if free > 0:
-            free -= 1
-        elif evictable:
-            evict.append(evictable.pop(0))
-        else:
-            break
-        fetch.append(content)
-    return evict, fetch
+    return min(n_popular + budget, partition_size, catalog.n_files)
 
 
 def plan_prefetch(

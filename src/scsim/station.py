@@ -39,17 +39,17 @@ class PowerModel:
 
 
 class CacheStore:
-    """Two-partition cache: a popularity-ranked part plus a prefetch FIFO.
+    """Two-partition cache: the top ``n_popular`` ids plus a prefetch FIFO.
 
-    The popular partition holds up to ``ceil(split_ratio * capacity)``
-    ids and is rewritten by the epoch-scale update planner; the remainder
-    of the capacity belongs to the prefetch FIFO, which evicts its oldest
-    entry when full. Every change is written through to ``mask``, a boolean
-    membership row indexed by content id, so bulk lookups stay O(1) for
-    the simulation loop.
+    Catalog ids sort by popularity, so the popular partition is the prefix
+    ``1..n_popular``: the epoch-scale update only ever grows it, up to
+    ``ceil(split_ratio * capacity)`` ids. The remainder of the capacity
+    belongs to the prefetch FIFO, which evicts its oldest entry when full.
+    ``mask``, a boolean row indexed by content id, is the one membership
+    record, so bulk lookups stay O(1) for the simulation loop.
     """
 
-    __slots__ = ("capacity", "popular_capacity", "prefetch_capacity", "popular", "_fifo", "_fifo_set", "mask")
+    __slots__ = ("capacity", "popular_capacity", "prefetch_capacity", "n_popular", "_fifo", "mask")
 
     def __init__(self, capacity: int, split_ratio: float = 0.8, *, mask: np.ndarray):
         if capacity < 0:
@@ -59,9 +59,8 @@ class CacheStore:
         self.capacity = int(capacity)
         self.popular_capacity = min(self.capacity, math.ceil(split_ratio * self.capacity))
         self.prefetch_capacity = self.capacity - self.popular_capacity
-        self.popular: set[int] = set()
+        self.n_popular = 0
         self._fifo: deque[int] = deque()
-        self._fifo_set: set[int] = set()
         self.mask = mask
 
     @property
@@ -70,30 +69,31 @@ class CacheStore:
         return list(self._fifo)
 
     def contains(self, content: int) -> bool:
-        return content in self.popular or content in self._fifo_set
+        return bool(self.mask[content])
 
-    def apply_popular_update(self, evict: list[int], fetch: list[int]) -> None:
-        for c in evict:
-            self.popular.discard(c)
-            if c not in self._fifo_set:
-                self.mask[c] = False
-        for c in fetch:
-            self.popular.add(c)
-            self.mask[c] = True
-        if len(self.popular) > self.popular_capacity:
-            raise ValueError("popular partition overfull after update")
+    def apply_popular_update(self, n: int) -> None:
+        """Grow the popular partition to ids ``1..n``; it never shrinks."""
+        limit = min(self.popular_capacity, self.mask.size - 1)
+        if not self.n_popular <= n <= limit:
+            raise ValueError(
+                f"popular partition can grow from {self.n_popular} up to {limit} ids, not to {n}"
+            )
+        self.mask[self.n_popular + 1 : n + 1] = True
+        self.n_popular = n
 
     def prefetch_insert(self, content: int) -> int | None:
-        """Insert into the FIFO; returns the evicted id when one falls out."""
-        if self.prefetch_capacity == 0 or content in self._fifo_set:
+        """Insert into the FIFO; returns the evicted id when one falls out.
+
+        An id either partition already holds is skipped. An evicted id
+        stays in ``mask`` when the popular partition has since grown over it.
+        """
+        if self.prefetch_capacity == 0 or self.mask[content]:
             return None
         evicted = None
         if len(self._fifo) >= self.prefetch_capacity:
             evicted = self._fifo.popleft()
-            self._fifo_set.discard(evicted)
-            if evicted not in self.popular:
+            if evicted > self.n_popular:
                 self.mask[evicted] = False
         self._fifo.append(content)
-        self._fifo_set.add(content)
         self.mask[content] = True
         return evicted

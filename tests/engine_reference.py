@@ -57,10 +57,9 @@ def reference_run(scenario, step_hook=None):
         vehicles = spawn_vehicles(density, hw, catalog, rng, speed=sc.speed)
         budgets = [sc.backhaul.realize(rng) for _ in range(n_stations)]
         for cache, budget in zip(caches, budgets):
-            evict, fetch = plan_popular_update(
-                cache.popular, catalog, budget, cache.popular_capacity
+            cache.apply_popular_update(
+                plan_popular_update(cache.n_popular, catalog, budget, cache.popular_capacity)
             )
-            cache.apply_popular_update(evict, fetch)
 
         forecast[:] = mean_rate(sc.energy, float(t0), float(t0 + sc.epoch_seconds))
         if sustainable:

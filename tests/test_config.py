@@ -7,7 +7,6 @@ from scsim.config import (
     DEFAULT_CACHE_SIZES,
     ConfigError,
     describe_schema,
-    parse_config,
     parse_settings,
 )
 from scsim.engine import Scenario
@@ -21,7 +20,7 @@ def test_empty_text_yields_reference_defaults():
 
 
 def test_parse_config_returns_scenario():
-    sc = parse_config("[catalog]\ngamma = 0.56\n")
+    sc = parse_settings("[catalog]\ngamma = 0.56\n").scenario
     assert sc.gamma == 0.56
     assert sc.n_files == 1000
 
@@ -117,7 +116,7 @@ def test_three_layer_precedence():
 
 
 def test_last_value_wins_within_a_layer():
-    sc = parse_config("[catalog]\ngamma = 0.3\ngamma = 0.7\n")
+    sc = parse_settings("[catalog]\ngamma = 0.3\ngamma = 0.7\n").scenario
     assert sc.gamma == 0.7
     settings = parse_settings("", ("engine.seed=1", "engine.seed=5"))
     assert settings.scenario.seed == 5
@@ -125,43 +124,43 @@ def test_last_value_wins_within_a_layer():
 
 def test_unknown_key_names_key_and_section():
     with pytest.raises(ConfigError, match=r"'gama'.*\[catalog\]"):
-        parse_config("[catalog]\ngama = 1\n")
+        parse_settings("[catalog]\ngama = 1\n")
 
 
 def test_unknown_section_rejected():
     with pytest.raises(ConfigError, match=r"unknown section \[catalgo\]"):
-        parse_config("[catalgo]\ngamma = 1\n")
+        parse_settings("[catalgo]\ngamma = 1\n")
 
 
 def test_malformed_value_reports_line_number():
     with pytest.raises(ConfigError, match="line 3"):
-        parse_config("[catalog]\nn_files = 100\ngamma = banana\n")
+        parse_settings("[catalog]\nn_files = 100\ngamma = banana\n")
 
 
 def test_key_outside_section_rejected():
     with pytest.raises(ConfigError, match="outside any"):
-        parse_config("gamma = 1\n")
+        parse_settings("gamma = 1\n")
 
 
 def test_line_without_equals_rejected():
     with pytest.raises(ConfigError, match="line 2"):
-        parse_config("[catalog]\njust some words\n")
+        parse_settings("[catalog]\njust some words\n")
 
 
 def test_timescale_nesting_violation_is_config_error():
     with pytest.raises(ConfigError, match="multiple"):
-        parse_config("[engine]\ndelta_large = 10\ndelta_small = 3\n")
+        parse_settings("[engine]\ndelta_large = 10\ndelta_small = 3\n")
 
 
 def test_scenario_invariants_surface_as_config_errors():
     with pytest.raises(ConfigError):
-        parse_config("[station]\nsplit_ratio = 1.5\n")
+        parse_settings("[station]\nsplit_ratio = 1.5\n")
     with pytest.raises(ConfigError):
-        parse_config("[energy]\nkind = fusion\n")
+        parse_settings("[energy]\nkind = fusion\n")
     with pytest.raises(ConfigError):
-        parse_config("[policy]\nname = lazy\n")
+        parse_settings("[policy]\nname = lazy\n")
     with pytest.raises(ConfigError):
-        parse_config("[energy]\nbattery_capacity = -1\n")
+        parse_settings("[energy]\nbattery_capacity = -1\n")
     with pytest.raises(ConfigError, match="speed"):
         parse_settings("", ("traffic.speed_mps=inf",))
     with pytest.raises(ConfigError, match="cell_length"):
@@ -185,26 +184,26 @@ def test_scenario_invariants_surface_as_config_errors():
 def test_power_normalization_enforced_via_config():
     text = "[station]\np_const = 0.5\np_per_user = 0.2\n"
     with pytest.raises(ConfigError, match="p_const"):
-        parse_config(text)
+        parse_settings(text)
 
 
 def test_battery_capacity_accepts_inf():
-    sc = parse_config("[energy]\nbattery_capacity = inf\n")
+    sc = parse_settings("[energy]\nbattery_capacity = inf\n").scenario
     assert sc.battery_capacity == math.inf
 
 
 def test_bool_spellings():
     for raw, expected in (("true", True), ("ON", True), ("1", True),
                           ("no", False), ("Off", False), ("0", False)):
-        sc = parse_config(f"[traffic]\ndaily_profile = {raw}\n")
+        sc = parse_settings(f"[traffic]\ndaily_profile = {raw}\n").scenario
         assert sc.traffic.enabled is expected
     with pytest.raises(ConfigError, match="boolean"):
-        parse_config("[traffic]\ndaily_profile = maybe\n")
+        parse_settings("[traffic]\ndaily_profile = maybe\n")
 
 
 def test_int_keys_reject_floats():
     with pytest.raises(ConfigError, match="integer"):
-        parse_config("[catalog]\nn_files = 12.5\n")
+        parse_settings("[catalog]\nn_files = 12.5\n")
 
 
 def test_cache_sizes_parsing():
@@ -235,7 +234,7 @@ def test_override_format_errors():
 
 
 def test_comments_and_blank_lines_ignored():
-    sc = parse_config("\n# header\n[catalog]\n\ngamma = 0.9  # trailing\n")
+    sc = parse_settings("\n# header\n[catalog]\n\ngamma = 0.9  # trailing\n").scenario
     assert sc.gamma == 0.9
 
 

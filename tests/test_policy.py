@@ -19,9 +19,9 @@ CAT = build_catalog(1000, 1.0)
 PM = PowerModel()
 
 
-def cache(capacity=10, split=0.8, popular=()):
+def cache(capacity=10, split=0.8, n_popular=0):
     c = CacheStore(capacity, split, mask=np.zeros(CAT.n_files + 1, dtype=bool))
-    c.apply_popular_update([], list(popular))
+    c.apply_popular_update(n_popular)
     return c
 
 
@@ -45,63 +45,84 @@ class TestBackhaulBudget:
             BackhaulBudget(-1)
 
 
+def swap_planner(current, k, budget, partition_size):
+    """The general planner: fill free slots with the most popular missing
+    ids, then swap the least popular cached id for the most popular missing
+    one, one fetch per unit of budget. Returns the new set."""
+    current = set(current)
+    evictable = sorted(current - set(range(1, k + 1)), reverse=True)
+    free = partition_size - len(current)
+    for content in sorted(set(range(1, k + 1)) - current)[:budget]:
+        if free > 0:
+            free -= 1
+        elif evictable:
+            current.discard(evictable.pop(0))
+        else:
+            break
+        current.add(content)
+    return current
+
+
 class TestPlanPopularUpdate:
-    def test_single_swap_toward_top(self):
-        evict, fetch = plan_popular_update({1, 2, 50}, CAT, budget=1, partition_size=3)
-        assert evict == [50]
-        assert fetch == [3]
-
     def test_cold_start_fetches_top_k(self):
-        evict, fetch = plan_popular_update(set(), CAT, budget=10, partition_size=5)
-        assert evict == []
-        assert fetch == [1, 2, 3, 4, 5]
+        assert plan_popular_update(0, CAT, budget=10, partition_size=5) == 5
 
-    def test_budget_zero_is_noop(self):
-        evict, fetch = plan_popular_update({9, 8}, CAT, budget=0, partition_size=2)
-        assert evict == [] and fetch == []
+    def test_growth_is_budget_limited(self):
+        assert plan_popular_update(0, CAT, budget=3, partition_size=5) == 3
+        assert plan_popular_update(2, CAT, budget=2, partition_size=10) == 4
 
     def test_free_slots_filled_before_swaps(self):
-        evict, fetch = plan_popular_update({40}, CAT, budget=2, partition_size=3)
-        assert fetch == [1, 2]
-        assert evict == []  # free slot capacity absorbed both fetches
+        c = cache(capacity=3, split=1.0, n_popular=1)
+        n = plan_popular_update(c.n_popular, CAT, budget=2, partition_size=3)
+        assert n == 3  # both fetches land in free slots
+        c.apply_popular_update(n)
+        assert c.contains(1) and c.contains(2) and c.contains(3)
+        # full partition: more budget swaps nothing in or out
+        assert plan_popular_update(n, CAT, budget=5, partition_size=3) == 3
 
-    def test_least_popular_evicted_first(self):
-        evict, fetch = plan_popular_update({10, 30, 20}, CAT, budget=2, partition_size=3)
-        assert fetch == [1, 2]
-        assert evict == [30, 20]
+    def test_budget_zero_is_noop(self):
+        assert plan_popular_update(2, CAT, budget=0, partition_size=5) == 2
 
     def test_already_converged_is_fixed_point(self):
-        current = {1, 2, 3}
-        assert plan_popular_update(current, CAT, budget=99, partition_size=3) == ([], [])
+        assert plan_popular_update(3, CAT, budget=99, partition_size=3) == 3
 
     def test_partition_larger_than_catalog(self):
         small = build_catalog(4, 1.0)
-        evict, fetch = plan_popular_update(set(), small, budget=99, partition_size=10)
-        assert fetch == [1, 2, 3, 4] and evict == []
+        assert plan_popular_update(0, small, budget=99, partition_size=10) == 4
+
+    def test_rejects_negative_budget_or_partition(self):
+        with pytest.raises(ValueError):
+            plan_popular_update(0, CAT, budget=-1, partition_size=5)
+        with pytest.raises(ValueError):
+            plan_popular_update(0, CAT, budget=5, partition_size=-1)
 
     def test_random_plans_are_sound_and_improving(self):
         rng = np.random.default_rng(23)
         for _ in range(300):
-            part = int(rng.integers(1, 30))
-            current = set(rng.choice(np.arange(1, 200), size=int(rng.integers(0, part + 1)), replace=False).tolist())
+            part = int(rng.integers(0, 30))
+            n = int(rng.integers(0, part + 1))
             budget = int(rng.integers(0, 12))
-            evict, fetch = plan_popular_update(current, CAT, budget, part)
-            target = set(range(1, part + 1))
-            missing = sorted(target - current)
-            free = part - len(current)
-            assert len(fetch) <= budget
-            assert fetch == missing[: len(fetch)]
-            assert len(evict) == max(0, len(fetch) - max(free, 0))
-            new = (current - set(evict)) | set(fetch)
-            assert len(new) <= part
-            assert hit_rate(CAT, new) >= hit_rate(CAT, current) - 1e-15
+            new = plan_popular_update(n, CAT, budget, part)
+            assert n <= new <= part
+            assert new - n <= budget
+            assert new == n + budget or new == part
+            assert hit_rate(CAT, set(range(1, new + 1))) >= hit_rate(CAT, set(range(1, n + 1)))
 
     def test_unlimited_budget_converges_in_one_round(self):
-        rng = np.random.default_rng(7)
-        current = set(rng.choice(np.arange(1, 1001), size=20, replace=False).tolist())
-        evict, fetch = plan_popular_update(current, CAT, budget=1000, partition_size=20)
-        new = (current - set(evict)) | set(fetch)
-        assert new == set(range(1, 21))
+        for n in (0, 7, 20):
+            assert plan_popular_update(n, CAT, budget=1000, partition_size=20) == 20
+
+    def test_matches_swap_planner_epoch_after_epoch(self):
+        rng = np.random.default_rng(23)
+        small = build_catalog(40, 1.0)
+        for _ in range(100):
+            part = int(rng.integers(0, 60))
+            n, current = 0, set()
+            for _ in range(8):
+                budget = int(rng.integers(0, 12))
+                n = plan_popular_update(n, small, budget, part)
+                current = swap_planner(current, min(part, small.n_files), budget, part)
+                assert current == set(range(1, n + 1))
 
 
 class TestPlanPrefetch:
@@ -112,7 +133,7 @@ class TestPlanPrefetch:
         assert plan == {3: [202]}
 
     def test_cached_content_skipped(self):
-        caches = [cache(popular=[7])]
+        caches = [cache(n_popular=7)]
         plan = plan_prefetch([(7, 0, 1.0)], caches, budget_per_station=5)
         assert plan == {}
         caches[0].prefetch_insert(9)
