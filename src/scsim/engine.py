@@ -248,59 +248,55 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
 
         n_veh = vehicles.n
         contents = vehicles.active_content
-        prev_cells = cell_indices(vehicles.position, hw)
-        prev_pos = vehicles.position
         hits = np.zeros((n_sizes, n_sub, n_stations), dtype=np.int64)
         continuity = [0] * n_sizes
         handovers = 0
 
         # Trajectories are closed-form per epoch; evaluate them in equal
         # blocks of at most 1M vehicle-steps and 2M per-size hit flags, to
-        # bound the working set. Everything but prefetch and the cache
-        # lookups is worked out once for a whole block; only those two
-        # follow the step order, since a prefetch changes what later lookups
-        # see.
+        # bound the working set. Each block evaluates its start row and one
+        # row per step, so row j starts step j and row j + 1 ends it.
+        # Everything but prefetch and the cache lookups is worked out once
+        # for a whole block; only those two follow the step order, since a
+        # prefetch changes what later lookups see.
         longest = max(1, min(1_000_000 // max(n_veh, 1), 2_000_000 // max(n_veh * n_sizes, 1)))
         block = math.ceil(n_sub / math.ceil(n_sub / longest))
         for s0 in range(0, n_sub, block) if n_veh else ():
             s1 = min(s0 + block, n_sub)
             nb = s1 - s0
-            offsets = np.arange(s0 + 1, s1 + 1) * dt
-            positions = vehicles.positions_at(offsets, hw)
-            cells_block = cell_indices(positions, hw)
-            start_cells = np.vstack((prev_cells[None, :], cells_block[:-1]))
-            crossed = cells_block != start_cells
+            positions = vehicles.positions_at(np.arange(s0, s1 + 1) * dt, hw)
+            cells = cell_indices(positions, hw)
+            crossed = cells[1:] != cells[:-1]
             changed = crossed.any(axis=1)
-            lookup = cells_block * (sc.n_files + 1) + contents
+            lookup = cells[1:] * (sc.n_files + 1) + contents
             cached = np.empty((nb, n_sizes, n_veh), dtype=bool)
 
             if prefetching:
-                # handover lookahead from each step's starting positions
-                starts = np.vstack((prev_pos[None, :], positions[:-1]))
+                # handover lookahead from each step's start, most urgent first
                 flat, nxt, eta = handovers_from_arrays(
-                    starts, start_cells, vehicles.direction, vehicles.speed, hw, horizon=dt
+                    positions[:-1], cells[:-1], vehicles.direction, vehicles.speed, hw, horizon=dt
                 )
-                bounds = np.searchsorted(flat // n_veh, np.arange(nb + 1)).tolist()
-                ahead = list(zip(contents[flat % n_veh].tolist(), nxt.tolist(), eta.tolist()))
+                step = flat // n_veh
+                ahead = contents[flat % n_veh]
+                order = np.lexsort((ahead, nxt, eta, step))
+                bounds = np.searchsorted(step, np.arange(nb + 1)).tolist()
+                pairs = list(zip(nxt[order].tolist(), ahead[order].tolist()))
 
             for j in range(nb):
                 if prefetching and changed[j] and bounds[j] < bounds[j + 1]:
-                    triples = ahead[bounds[j]:bounds[j + 1]]
+                    requests = pairs[bounds[j]:bounds[j + 1]]
                     for caches in prefetching:
-                        for st_idx, picks in plan_prefetch(triples, caches, sc.prefetch_budget).items():
-                            for content in picks:
-                                caches[st_idx].prefetch_insert(content)
+                        for st_idx, content in plan_prefetch(requests, caches, sc.prefetch_budget):
+                            caches[st_idx].prefetch_insert(content)
                 np.take(flat_masks, lookup[j], axis=1, out=cached[j])
 
             # (step, cell) slot of every vehicle, counted per size
-            slots = np.arange(nb)[:, None] * n_stations + cells_block
+            slots = np.arange(nb)[:, None] * n_stations + cells[1:]
             for k in range(n_sizes):
                 hit = cached[:, k]
                 hits[k, s0:s1] = np.bincount(slots[hit], minlength=nb * n_stations).reshape(nb, n_stations)
                 continuity[k] += int(np.count_nonzero(crossed & hit))
             handovers += int(np.count_nonzero(crossed))
-            prev_cells = cells_block[-1]
-            prev_pos = positions[-1]
 
         yield [DemandEpoch(t0, n_veh, hits[k], handovers, continuity[k]) for k in range(n_sizes)]
 

@@ -34,6 +34,8 @@ class Highway:
             raise ValueError(f"n_stations must be >= 1, got {self.n_stations}")
         if not 0 < self.cell_length < np.inf:
             raise ValueError(f"cell_length must be finite and > 0, got {self.cell_length}")
+        if not self.length < np.inf:
+            raise ValueError(f"ring length n_stations * cell_length must be finite, got {self.length}")
 
     @property
     def length(self) -> float:
@@ -175,12 +177,12 @@ def handovers_from_arrays(
 
     ``cells`` holds the cell of each ``position`` (see :func:`cell_indices`);
     both may be ``(steps, n)``, with ``direction`` and ``speed`` one entry
-    per vehicle. Returns (flat indices into ``position``, next cell index,
-    eta seconds) for every position whose next boundary crossing falls
-    within ``horizon`` seconds. A vehicle sitting on a boundary already
-    belongs to the higher cell, so travelling forward it has a full cell
-    to cross, while travelling backward it is about to exit immediately
-    (eta 0).
+    per vehicle. Returns (flat indices into ``position`` in ascending
+    order, next cell index, eta seconds) for every position whose next
+    boundary crossing falls within ``horizon`` seconds. A vehicle sitting
+    on a boundary already belongs to the higher cell, so travelling
+    forward it has a full cell to cross, while travelling backward it is
+    about to exit immediately (eta 0).
     """
     cl = highway.cell_length
     forward = direction > 0

@@ -81,28 +81,29 @@ def plan_popular_update(n_popular: int, catalog: Catalog, budget: int, partition
 
 
 def plan_prefetch(
-    predictions: list[tuple[int, int, float]],
+    requests: list[tuple[int, int]],
     caches: list[CacheStore],
     budget_per_station: int,
-) -> dict[int, list[int]]:
+) -> list[tuple[int, int]]:
     """Pick contents to stage ahead of predicted handovers.
 
-    ``predictions`` holds ``(content, station_index, eta)`` triples;
-    sooner arrivals win scarce budget. Contents already in either
-    partition of the destination's cache are skipped, as are duplicates
-    within the plan. Returns station index -> ordered fetch list.
+    ``requests`` holds ``(station_index, content)`` pairs, most urgent
+    first; earlier pairs win scarce budget. Contents already in either
+    partition of the destination's cache are skipped, as are duplicate
+    pairs. Returns the picked pairs in request order; apply them with
+    ``CacheStore.prefetch_insert`` once planning is done.
     """
     if budget_per_station < 0:
         raise ValueError("budget_per_station must be >= 0")
-    plan: dict[int, list[int]] = {}
-    for content, st_idx, _eta in sorted(predictions, key=lambda p: (p[2], p[1], p[0])):
-        picks = plan.setdefault(st_idx, [])
-        if len(picks) >= budget_per_station:
-            continue
-        if caches[st_idx].contains(content) or content in picks:
-            continue
-        picks.append(content)
-    return {k: v for k, v in plan.items() if v}
+    plan: list[tuple[int, int]] = []
+    taken: dict[int, int] = {}
+    for pair in requests:
+        st_idx, content = pair
+        n = taken.get(st_idx, 0)
+        if n < budget_per_station and pair not in plan and not caches[st_idx].contains(content):
+            plan.append(pair)
+            taken[st_idx] = n + 1
+    return plan
 
 
 def sustainable_large_step(

@@ -111,16 +111,14 @@ def reference_run(scenario, step_hook=None):
                         prev_pos, cell_indices(prev_pos, hw), directions, speeds, hw, horizon=dt
                     )
                     if idx.size:
-                        triples = [
-                            (int(contents[i]), int(nxt[k]), float(eta[k]))
+                        # sooner arrivals first
+                        triples = sorted(
+                            (float(eta[k]), int(nxt[k]), int(contents[i]))
                             for k, i in enumerate(idx)
-                        ]
-                        for st_idx, picks in plan_prefetch(
-                            triples, caches, sc.prefetch_budget
-                        ).items():
-                            cache = caches[st_idx]
-                            for content in picks:
-                                cache.prefetch_insert(content)
+                        )
+                        requests = [(st_idx, content) for _, st_idx, content in triples]
+                        for st_idx, content in plan_prefetch(requests, caches, sc.prefetch_budget):
+                            caches[st_idx].prefetch_insert(content)
 
                 if n_veh:
                     hit_mask = masks[cells, contents]

@@ -165,6 +165,8 @@ def test_scenario_invariants_surface_as_config_errors():
         parse_settings("", ("traffic.speed_mps=inf",))
     with pytest.raises(ConfigError, match="cell_length"):
         parse_settings("", ("highway.coverage_radius_m=inf",))
+    with pytest.raises(ConfigError, match="ring length"):
+        parse_settings("", ("highway.coverage_radius_m=1e307",))
     with pytest.raises(ConfigError, match="variability"):
         parse_settings("", ("policy.backhaul_variability_max=inf",))
     with pytest.raises(ConfigError, match="sunset_h"):

@@ -622,10 +622,18 @@ def trace(sc, simulate):
 @pytest.mark.parametrize("policy", ["sustainable", "greedy"])
 def test_run_matches_single_loop_reference(policy):
     rng = np.random.default_rng(20261018)
-    scenarios = [random_scenario(rng) for _ in range(40)] + list(FALLBACK_CASES.values())
+    # dense enough that the engine splits its epoch into blocks
+    dense = Scenario(
+        traffic=TrafficProfile(base_density=0.1, enabled=False),
+        energy=EnergyProfile(kind="constant", peak_rate=1.0),
+        duration=900,
+    )
+    scenarios = [random_scenario(rng) for _ in range(40)] + list(FALLBACK_CASES.values()) + [dense]
     for sc in scenarios:
         sc = replace(sc, policy=policy)
         got, got_steps = trace(sc, run)
         want, want_steps = trace(sc, reference_run)
         assert_same_report(got, want)
         assert got_steps == want_steps
+    n_veh = got_steps[0][1]
+    assert n_veh * (dense.epoch_seconds // dense.step_seconds) > 1_000_000

@@ -39,6 +39,8 @@ class TestHighway:
             Highway(5, 0.0)
         with pytest.raises(ValueError, match="finite"):
             Highway(10, np.inf)
+        with pytest.raises(ValueError, match="ring length"):
+            Highway(10, 2e307)
 
 
 class TestTrafficMultiplier:
@@ -271,3 +273,5 @@ class TestPredictNextCell:
         assert nxt.tolist() == [c for row in rows for c in row[1].tolist()]
         assert eta.tolist() == [t for row in rows for t in row[2].tolist()]
         assert idx.size > positions.shape[0]
+        # ascending, so each step's entries form one run
+        assert np.all(np.diff(idx) > 0)

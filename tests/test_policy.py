@@ -127,28 +127,26 @@ class TestPlanPopularUpdate:
 
 class TestPlanPrefetch:
     def test_sooner_arrival_wins_budget(self):
+        """Requests come most urgent first, so the earlier pair wins the budget."""
         caches = [cache() for _ in range(4)]
-        preds = [(101, 3, 5.0), (202, 3, 2.0)]
-        plan = plan_prefetch(preds, caches, budget_per_station=1)
-        assert plan == {3: [202]}
+        plan = plan_prefetch([(3, 202), (3, 101)], caches, budget_per_station=1)
+        assert plan == [(3, 202)]
 
     def test_cached_content_skipped(self):
         caches = [cache(n_popular=7)]
-        plan = plan_prefetch([(7, 0, 1.0)], caches, budget_per_station=5)
-        assert plan == {}
+        assert plan_prefetch([(0, 7)], caches, budget_per_station=5) == []
         caches[0].prefetch_insert(9)
-        assert plan_prefetch([(9, 0, 1.0)], caches, budget_per_station=5) == {}
+        assert plan_prefetch([(0, 9)], caches, budget_per_station=5) == []
 
     def test_duplicate_predictions_coalesce(self):
         caches = [cache()]
-        plan = plan_prefetch([(5, 0, 1.0), (5, 0, 2.0)], caches, budget_per_station=5)
-        assert plan == {0: [5]}
+        plan = plan_prefetch([(0, 5), (0, 5)], caches, budget_per_station=5)
+        assert plan == [(0, 5)]
 
     def test_independent_budgets_per_station(self):
         caches = [cache() for _ in range(2)]
-        preds = [(1, 0, 1.0), (2, 0, 2.0), (3, 1, 3.0)]
-        plan = plan_prefetch(preds, caches, budget_per_station=1)
-        assert plan == {0: [1], 1: [3]}
+        plan = plan_prefetch([(0, 1), (0, 2), (1, 3)], caches, budget_per_station=1)
+        assert plan == [(0, 1), (1, 3)]
 
 
 class TestSustainableLargeStep:
