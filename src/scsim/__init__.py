@@ -22,7 +22,6 @@ from .engine import (
     compare_energy,
     expected_offload,
     run,
-    run_many,
     sweep_cache,
 )
 from .mobility import (
@@ -76,7 +75,6 @@ __all__ = [
     "SweepPoint",
     "EnergyComparison",
     "run",
-    "run_many",
     "expected_offload",
     "sweep_cache",
     "compare_energy",

@@ -10,65 +10,55 @@ from __future__ import annotations
 
 import argparse
 import sys
-from dataclasses import replace
-from functools import partial
+from dataclasses import fields, replace
+from functools import cache, partial
 from pathlib import Path
+from typing import Callable, NamedTuple, get_type_hints
 
 from .config import ConfigError, RunSettings, describe_schema, parse_settings
 from .engine import (
     EnergyComparison,
+    EpochMetrics,
     MetricsReport,
-    Scenario,
+    SweepPoint,
     compare_energy,
     map_ordered,
-    run_many,
+    run,
     sweep_cache,
 )
 from .svgplot import render_line_chart
 
 __all__ = ["main"]
 
-METRICS_HEADER = (
-    "epoch_start_s,offered,scs_served,mbs_served,hit_rate,mean_power,"
-    "mean_battery,outage_energy,overflow_energy,continuity_rate,pushes,defers"
-)
-
-RUN_SUMMARY_HEADER = (
-    "seed,policy,offered,scs_served,mbs_served,normalized_offload,hit_rate,"
-    "continuity_rate,outage_energy,overflow_energy,pushes,defers"
-)
-
 
 def _g(value: float) -> str:
     return f"{value:.9g}"
 
 
-def _metrics_rows(report: MetricsReport) -> list[str]:
-    rows = []
-    for em in report.epochs:
-        rows.append(
-            f"{em.epoch_start_s},{em.offered},{em.scs_served},{em.mbs_served},"
-            f"{_g(em.hit_rate)},{_g(em.mean_power)},{_g(em.mean_battery)},"
-            f"{_g(em.outage_energy)},{_g(em.overflow_energy)},"
-            f"{_g(em.continuity_rate)},{em.pushes},{em.defers}"
-        )
-    return rows
+# A report's CSV columns are its scalar fields, in declaration order;
+# each maps to how its cells are spelled.
+_CELL = {int: str, float: _g, str: str}
 
 
-def _metrics_csv(reports: list[MetricsReport]) -> str:
-    lines = [METRICS_HEADER]
-    for report in reports:
-        lines.extend(_metrics_rows(report))
+@cache
+def _columns(cls: type) -> tuple[tuple[str, Callable[..., str]], ...]:
+    """``(name, spell)`` of each scalar field of ``cls``."""
+    hints = get_type_hints(cls)
+    return tuple((f.name, _CELL[hints[f.name]]) for f in fields(cls) if hints[f.name] in _CELL)
+
+
+def _header(*classes: type) -> str:
+    """CSV header: the columns of each class in turn."""
+    return ",".join(name for cls in classes for name, _ in _columns(cls))
+
+
+def _row(*reports) -> str:
+    """CSV row of ``reports``, under ``_header`` of their classes."""
+    return ",".join(spell(getattr(rep, name)) for rep in reports for name, spell in _columns(type(rep)))
+
+
+def _csv(lines: list[str]) -> str:
     return "\n".join(lines) + "\n"
-
-
-def _summary_fields(report: MetricsReport) -> str:
-    return (
-        f"{report.seed},{report.policy},{report.offered},{report.scs_served},"
-        f"{report.mbs_served},{_g(report.normalized_offload)},{_g(report.hit_rate)},"
-        f"{_g(report.continuity_rate)},{_g(report.outage_energy)},"
-        f"{_g(report.overflow_energy)},{report.pushes},{report.defers}"
-    )
 
 
 def _epoch_hours(report: MetricsReport) -> list[float]:
@@ -90,22 +80,35 @@ def _mean_offload_curve(reports: list[MetricsReport]) -> list[float]:
     return curve
 
 
-def _seed_list(base: Scenario, n_seeds: int) -> list[int]:
-    return [base.seed + i for i in range(n_seeds)]
+class _Outputs(NamedTuple):
+    """What a subcommand makes of its per-seed results.
+
+    ``summary.csv`` has one row per tuple in ``summary``, which holds an
+    instance of each class in ``columns``, one of them ``MetricsReport``;
+    ``metrics.csv`` holds the epochs of each row's ``MetricsReport``, in
+    row order. ``series`` and the labels make ``plot.svg``; ``note`` is
+    printed.
+    """
+
+    columns: tuple[type, ...]
+    summary: list[tuple]
+    series: list[tuple[str, list[float], list[float]]]
+    title: str
+    x_label: str
+    y_label: str
+    note: str
 
 
-def _cmd_run(settings: RunSettings, n_seeds: int) -> tuple[dict[str, str], str]:
-    scenarios = [replace(settings.scenario, seed=s)
-                 for s in _seed_list(settings.scenario, n_seeds)]
-    reports = run_many(scenarios, settings.workers)
-    summary = [RUN_SUMMARY_HEADER]
-    summary.extend(_summary_fields(rep) for rep in reports)
+def _run_outputs(settings: RunSettings, reports: list[MetricsReport]) -> _Outputs:
     hours = _epoch_hours(reports[0])
     hit_curve = [
         sum(rep.epochs[i].hit_rate for rep in reports) / len(reports)
         for i in range(len(hours))
     ]
-    svg = render_line_chart(
+    mean_offload = sum(rep.normalized_offload for rep in reports) / len(reports)
+    return _Outputs(
+        (MetricsReport,),
+        [(rep,) for rep in reports],
         [
             ("normalized offload", hours, _mean_offload_curve(reports)),
             ("hit rate", hours, hit_curve),
@@ -113,87 +116,53 @@ def _cmd_run(settings: RunSettings, n_seeds: int) -> tuple[dict[str, str], str]:
         title=f"{settings.scenario.policy} policy, daily metrics",
         x_label="hour of day",
         y_label="fraction",
+        note=f"run: {len(reports)} seed(s), mean normalized offload {_g(mean_offload)}",
     )
-    mean_offload = sum(rep.normalized_offload for rep in reports) / len(reports)
-    files = {
-        "metrics.csv": _metrics_csv(reports),
-        "summary.csv": "\n".join(summary) + "\n",
-        "plot.svg": svg,
-    }
-    note = f"run: {n_seeds} seed(s), mean normalized offload {_g(mean_offload)}"
-    return files, note
 
 
-def _cmd_sweep_cache(settings: RunSettings, n_seeds: int) -> tuple[dict[str, str], str]:
-    sizes = list(settings.cache_sizes)
-    all_reports: list[MetricsReport] = []
-    summary = ["cache_capacity,offload_mbps," + RUN_SUMMARY_HEADER]
-    curves: list[list[float]] = []
-    bases = [replace(settings.scenario, seed=s) for s in _seed_list(settings.scenario, n_seeds)]
-    for points in map_ordered(partial(sweep_cache, cache_sizes=sizes), bases, settings.workers):
-        curves.append([p.offload_mbps for p in points])
-        for p in points:
-            all_reports.append(p.report)
-            summary.append(
-                f"{p.cache_capacity},{_g(p.offload_mbps)},{_summary_fields(p.report)}"
-            )
+def _sweep_outputs(settings: RunSettings, sweeps: list[list[SweepPoint]]) -> _Outputs:
+    sizes = settings.cache_sizes
     mean_curve = [
-        sum(curve[i] for curve in curves) / len(curves) for i in range(len(sizes))
+        sum(points[i].offload_mbps for points in sweeps) / len(sweeps) for i in range(len(sizes))
     ]
-    svg = render_line_chart(
+    plateau = mean_curve[-1] if mean_curve else 0.0
+    return _Outputs(
+        (SweepPoint, MetricsReport),
+        [(p, p.report) for points in sweeps for p in points],
         [("offloaded traffic", [float(c) for c in sizes], mean_curve)],
         title="offload versus cache size",
         x_label="cache capacity (files)",
         y_label="offloaded traffic (Mbps)",
+        note=(
+            f"sweep-cache: {len(sizes)} size(s) x {len(sweeps)} seed(s), "
+            f"final point {_g(plateau)} Mbps"
+        ),
     )
-    files = {
-        "metrics.csv": _metrics_csv(all_reports),
-        "summary.csv": "\n".join(summary) + "\n",
-        "plot.svg": svg,
-    }
-    plateau = mean_curve[-1] if mean_curve else 0.0
-    note = (
-        f"sweep-cache: {len(sizes)} size(s) x {n_seeds} seed(s), "
-        f"final point {_g(plateau)} Mbps"
-    )
-    return files, note
 
 
-def _cmd_compare_energy(settings: RunSettings, n_seeds: int) -> tuple[dict[str, str], str]:
-    bases = [replace(settings.scenario, seed=s) for s in _seed_list(settings.scenario, n_seeds)]
-    comparisons: list[EnergyComparison] = map_ordered(compare_energy, bases, settings.workers)
-    all_reports: list[MetricsReport] = []
-    summary = [RUN_SUMMARY_HEADER + ",capacity_ratio"]
-    for cmp in comparisons:
-        for rep in (cmp.sustainable, cmp.greedy):
-            all_reports.append(rep)
-            summary.append(f"{_summary_fields(rep)},{_g(cmp.capacity_ratio)}")
+def _compare_outputs(settings: RunSettings, comparisons: list[EnergyComparison]) -> _Outputs:
     hours = _epoch_hours(comparisons[0].sustainable)
-    sus_curve = _mean_offload_curve([c.sustainable for c in comparisons])
-    greedy_curve = _mean_offload_curve([c.greedy for c in comparisons])
-    svg = render_line_chart(
+    mean_ratio = sum(c.capacity_ratio for c in comparisons) / len(comparisons)
+    return _Outputs(
+        (MetricsReport, EnergyComparison),
+        [(rep, cmp) for cmp in comparisons for rep in (cmp.sustainable, cmp.greedy)],
         [
-            ("sustainable", hours, sus_curve),
-            ("greedy baseline", hours, greedy_curve),
+            ("sustainable", hours, _mean_offload_curve([c.sustainable for c in comparisons])),
+            ("greedy baseline", hours, _mean_offload_curve([c.greedy for c in comparisons])),
         ],
         title="daily offload by energy policy",
         x_label="hour of day",
         y_label="normalized offload",
+        note=f"compare-energy: {len(comparisons)} seed(s), mean capacity ratio {_g(mean_ratio)}",
     )
-    mean_ratio = sum(c.capacity_ratio for c in comparisons) / len(comparisons)
-    files = {
-        "metrics.csv": _metrics_csv(all_reports),
-        "summary.csv": "\n".join(summary) + "\n",
-        "plot.svg": svg,
-    }
-    note = f"compare-energy: {n_seeds} seed(s), mean capacity ratio {_g(mean_ratio)}"
-    return files, note
 
 
+# subcommand -> (its function of one seed's scenario, given the settings;
+# its outputs, given the settings and every seed's result in seed order)
 HANDLERS = {
-    "run": _cmd_run,
-    "sweep-cache": _cmd_sweep_cache,
-    "compare-energy": _cmd_compare_energy,
+    "run": (lambda settings: run, _run_outputs),
+    "sweep-cache": (lambda settings: partial(sweep_cache, cache_sizes=list(settings.cache_sizes)), _sweep_outputs),
+    "compare-energy": (lambda settings: compare_energy, _compare_outputs),
 }
 
 
@@ -247,9 +216,19 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
+    per_seed, outputs = HANDLERS[args.command]
+    base = settings.scenario
     written: list[Path] = []
     try:
-        files, note = HANDLERS[args.command](settings, args.seeds)
+        scenarios = [replace(base, seed=base.seed + i) for i in range(args.seeds)]
+        out = outputs(settings, map_ordered(per_seed(settings), scenarios, settings.workers))
+        k = out.columns.index(MetricsReport)
+        epochs = [em for reps in out.summary for em in reps[k].epochs]
+        files = {
+            "metrics.csv": _csv([_header(EpochMetrics)] + [_row(em) for em in epochs]),
+            "summary.csv": _csv([_header(*out.columns)] + [_row(*reps) for reps in out.summary]),
+            "plot.svg": render_line_chart(out.series, title=out.title, x_label=out.x_label, y_label=out.y_label),
+        }
         args.out.mkdir(parents=True, exist_ok=True)
         for name, content in files.items():
             path = args.out / name
@@ -264,7 +243,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 3
 
-    print(f"{note}; wrote {len(files)} file(s) to {args.out}")
+    print(f"{out.note}; wrote {len(files)} file(s) to {args.out}")
     return 0
 
 

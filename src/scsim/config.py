@@ -82,56 +82,63 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(out)
 
 
+# The reference scenario; every scenario key defaults to its value there.
+_REF = Scenario()
+
 # section -> key -> (parser, default, documentation)
 SCHEMA = {
     "highway": {
-        "n_stations": (_parse_int, 10, "number of stations on the ring"),
-        "coverage_radius_m": (_parse_float, 500.0, "station coverage radius; cell length is twice this"),
+        "n_stations": (_parse_int, _REF.highway.n_stations, "number of stations on the ring"),
+        "coverage_radius_m": (_parse_float, _REF.highway.cell_length / 2,
+                              "station coverage radius; cell length is twice this"),
     },
     "catalog": {
-        "n_files": (_parse_int, 1000, "content catalog size"),
-        "gamma": (_parse_float, 1.0, "Zipf popularity exponent"),
+        "n_files": (_parse_int, _REF.n_files, "content catalog size"),
+        "gamma": (_parse_float, _REF.gamma, "Zipf popularity exponent"),
     },
     "traffic": {
-        "base_density": (_parse_float, 0.01, "rush-hour vehicles per meter per direction"),
-        "speed_mps": (_parse_float, 25.0, "constant vehicle speed"),
-        "daily_profile": (_parse_bool, True, "apply the two-peak daily demand profile"),
-        "peak_hour_morning": (_parse_float, 8.0, "first rush peak, hour of day"),
-        "peak_hour_evening": (_parse_float, 18.0, "second rush peak, hour of day"),
-        "peak_width_h": (_parse_float, 1.5, "rush peak width in hours"),
-        "floor_fraction": (_parse_float, 1.0 / 90.0, "overnight demand floor relative to peak"),
+        "base_density": (_parse_float, _REF.traffic.base_density, "rush-hour vehicles per meter per direction"),
+        "speed_mps": (_parse_float, _REF.speed, "constant vehicle speed"),
+        "daily_profile": (_parse_bool, _REF.traffic.enabled, "apply the two-peak daily demand profile"),
+        "peak_hour_morning": (_parse_float, _REF.traffic.peak_hours[0], "first rush peak, hour of day"),
+        "peak_hour_evening": (_parse_float, _REF.traffic.peak_hours[1], "second rush peak, hour of day"),
+        "peak_width_h": (_parse_float, _REF.traffic.peak_width_h, "rush peak width in hours"),
+        "floor_fraction": (_parse_float, _REF.traffic.floor_fraction, "overnight demand floor relative to peak"),
     },
     "energy": {
-        "kind": (_parse_str, "solar-sine", "harvest profile: solar-sine, constant, or zero"),
-        "peak_rate": (_parse_float, 1.0, "peak harvest rate in station power units"),
-        "sunrise_h": (_parse_float, 6.0, "solar-sine rise hour"),
-        "sunset_h": (_parse_float, 18.0, "solar-sine set hour"),
-        "battery_capacity": (_parse_float, math.inf, "storage capacity in power-unit-seconds (inf allowed)"),
+        "kind": (_parse_str, _REF.energy.kind, "harvest profile: solar-sine, constant, or zero"),
+        "peak_rate": (_parse_float, _REF.energy.peak_rate, "peak harvest rate in station power units"),
+        "sunrise_h": (_parse_float, _REF.energy.sunrise_h, "solar-sine rise hour"),
+        "sunset_h": (_parse_float, _REF.energy.sunset_h, "solar-sine set hour"),
+        "battery_capacity": (_parse_float, _REF.battery_capacity, "storage capacity in power-unit-seconds (inf allowed)"),
     },
     "station": {
-        "cache_capacity": (_parse_int, 100, "cache slots per station"),
-        "split_ratio": (_parse_float, 0.8, "fraction of slots for the popular partition"),
-        "p_const": (_parse_float, 0.5, "constant power draw while active"),
-        "p_per_user": (_parse_float, 0.05, "incremental power per served user"),
-        "p_sleep": (_parse_float, 0.01, "power draw while asleep"),
-        "max_users": (_parse_int, 10, "radio cap on concurrently served users"),
-        "rate_per_user_mbps": (_parse_float, 10.0, "per-user service rate"),
+        "cache_capacity": (_parse_int, _REF.cache_capacity, "cache slots per station"),
+        "split_ratio": (_parse_float, _REF.split_ratio, "fraction of slots for the popular partition"),
+        "p_const": (_parse_float, _REF.power.p_const, "constant power draw while active"),
+        "p_per_user": (_parse_float, _REF.power.p_per_user, "incremental power per served user"),
+        "p_sleep": (_parse_float, _REF.power.p_sleep, "power draw while asleep"),
+        "max_users": (_parse_int, _REF.power.max_users, "radio cap on concurrently served users"),
+        "rate_per_user_mbps": (_parse_float, _REF.power.rate_per_user_mbps, "per-user service rate"),
     },
     "policy": {
-        "name": (_parse_str, "sustainable", "controller: sustainable or greedy"),
-        "backhaul_files_per_epoch": (_parse_int, 50, "nominal popular-cache updates per epoch"),
-        "backhaul_variability_min": (_parse_float, 0.5, "lower budget factor per epoch"),
-        "backhaul_variability_max": (_parse_float, 1.0, "upper budget factor per epoch"),
-        "prefetch_budget": (_parse_int, 2, "prefetch fetches per station per step"),
-        "low_watermark": (_parse_float, 360.0, "battery level; active station-steps that start below it count as defers"),
-        "high_watermark": (_parse_float, 3240.0, "battery level; active station-steps that start above it count as pushes"),
-        "greedy_partial": (_parse_bool, False, "let the greedy baseline degrade gracefully"),
+        "name": (_parse_str, _REF.policy, "controller: sustainable or greedy"),
+        "backhaul_files_per_epoch": (_parse_int, _REF.backhaul.files_per_epoch, "nominal popular-cache updates per epoch"),
+        "backhaul_variability_min": (_parse_float, _REF.backhaul.variability[0], "lower budget factor per epoch"),
+        "backhaul_variability_max": (_parse_float, _REF.backhaul.variability[1], "upper budget factor per epoch"),
+        "prefetch_budget": (_parse_int, _REF.prefetch_budget, "prefetch fetches per station per step"),
+        "low_watermark": (_parse_float, _REF.low_watermark,
+                          "battery level; active station-steps that start below it count as defers"),
+        "high_watermark": (_parse_float, _REF.high_watermark,
+                           "battery level; active station-steps that start above it count as pushes"),
+        "greedy_partial": (_parse_bool, _REF.greedy_partial, "let the greedy baseline degrade gracefully"),
     },
     "engine": {
-        "delta_large": (_parse_int, 900, "planning epoch in seconds"),
-        "delta_small": (_parse_int, 1, "service step in seconds"),
-        "duration": (_parse_int, 86400, "run length in seconds"),
-        "seed": (_parse_int, 42, "random seed"),
+        "delta_large": (_parse_int, _REF.epoch_seconds, "planning epoch in seconds"),
+        "delta_small": (_parse_int, _REF.step_seconds, "service step in seconds"),
+        "duration": (_parse_int, _REF.duration, "run length in seconds"),
+        "seed": (_parse_int, _REF.seed, "random seed"),
+        # batch knobs, not scenario fields
         "workers": (_parse_int, 1, "parallel processes over the seeds of --seeds"),
         "cache_sizes": (_parse_int_list, DEFAULT_CACHE_SIZES, "sizes visited by sweep-cache"),
     },

@@ -65,7 +65,6 @@ __all__ = [
     "SweepPoint",
     "EnergyComparison",
     "run",
-    "run_many",
     "map_ordered",
     "expected_offload",
     "sweep_cache",
@@ -297,6 +296,8 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
                 hits[k, s0:s1] = np.bincount(slots[hit], minlength=nb * n_stations).reshape(nb, n_stations)
                 continuity[k] += int(np.count_nonzero(crossed & hit))
             handovers += int(np.count_nonzero(crossed))
+            # free this block's flags and slots before the next block's lookahead
+            del cached, slots, hit
 
         yield [DemandEpoch(t0, n_veh, hits[k], handovers, continuity[k]) for k in range(n_sizes)]
 
@@ -469,9 +470,24 @@ def run(scenario: Scenario, step_hook: Callable[[StepRecord], None] | None = Non
     path otherwise.
     """
     energy = _EnergyPass(scenario, step_hook)
-    for (demand,) in _demand_pass(scenario, [scenario.cache_capacity]):
-        energy.serve(demand)
+    _simulate(scenario, [energy])
     return energy.report()
+
+
+def _simulate(sc: Scenario, passes: list[_EnergyPass]) -> None:
+    """Feed one demand pass of ``sc`` to every energy pass, epoch by epoch.
+
+    The demand pass tracks each distinct cache size once, so passes at
+    the same size serve the same :class:`DemandEpoch`; each pass reads
+    its size from its own scenario, and everything else from ``sc``.
+    """
+    if not passes:
+        return
+    sizes = list(dict.fromkeys(energy.sc.cache_capacity for energy in passes))
+    which = [sizes.index(energy.sc.cache_capacity) for energy in passes]
+    for demands in _demand_pass(sc, sizes):
+        for energy, k in zip(passes, which):
+            energy.serve(demands[k])
 
 
 def map_ordered(fn: Callable, items: list, workers: int = 1) -> list:
@@ -486,11 +502,6 @@ def map_ordered(fn: Callable, items: list, workers: int = 1) -> list:
         max_workers=min(workers, len(items)), mp_context=multiprocessing.get_context("spawn")
     ) as pool:
         return list(pool.map(fn, items))
-
-
-def run_many(scenarios: list[Scenario], workers: int = 1) -> list[MetricsReport]:
-    """Run several scenarios, optionally across processes, in input order."""
-    return map_ordered(run, scenarios, workers)
 
 
 def expected_offload(mu: float, c: int) -> float:
@@ -556,11 +567,7 @@ def sweep_cache(base: Scenario, cache_sizes: list[int]) -> list[SweepPoint]:
     station sustains.
     """
     passes = [_EnergyPass(replace(base, cache_capacity=int(c))) for c in cache_sizes]
-    if not passes:
-        return []
-    for demands in _demand_pass(base, [energy.sc.cache_capacity for energy in passes]):
-        for energy, demand in zip(passes, demands):
-            energy.serve(demand)
+    _simulate(base, passes)
     steps = base.duration // base.step_seconds
     return [
         SweepPoint(
@@ -588,9 +595,7 @@ def compare_energy(base: Scenario) -> EnergyComparison:
     greedy (defined as 1.0 when both sit at zero).
     """
     sus, greedy = passes = [_EnergyPass(replace(base, policy=p)) for p in POLICIES]
-    for (demand,) in _demand_pass(base, [base.cache_capacity]):
-        for energy in passes:
-            energy.serve(demand)
+    _simulate(base, passes)
     if greedy.scs == 0:
         ratio = 1.0 if sus.scs == 0 else math.inf
     else:

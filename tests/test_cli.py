@@ -12,6 +12,13 @@ FAST = ["--override", "engine.duration=900",
         "--override", "traffic.daily_profile=off"]
 
 
+# the summary.csv columns of one run, as the README gives them
+SUMMARY_HEADER = (
+    "seed,policy,offered,scs_served,mbs_served,normalized_offload,hit_rate,"
+    "continuity_rate,outage_energy,overflow_energy,pushes,defers"
+)
+
+
 def run_cli(args):
     return cli.main([str(a) for a in args])
 
@@ -41,7 +48,7 @@ def test_summary_header_and_roundtrip(tmp_path):
     out = tmp_path / "res"
     run_cli(["run", "--out", out] + FAST)
     lines = (out / "summary.csv").read_text().splitlines()
-    assert lines[0].startswith("seed,policy,offered,")
+    assert lines[0] == SUMMARY_HEADER
     fields = lines[1].split(",")
     assert fields[0] == "42" and fields[1] == "sustainable"
     offered, scs, mbs = int(fields[2]), int(fields[3]), int(fields[4])
@@ -82,7 +89,7 @@ def test_sweep_cache_outputs_ordered_sizes(tmp_path):
             "--override", "policy.backhaul_files_per_epoch=2000"] + FAST
     assert run_cli(args) == 0
     rows = (out / "summary.csv").read_text().splitlines()
-    assert rows[0].startswith("cache_capacity,offload_mbps,seed,")
+    assert rows[0] == "cache_capacity,offload_mbps," + SUMMARY_HEADER
     sizes = [int(r.split(",")[0]) for r in rows[1:]]
     offloads = [float(r.split(",")[1]) for r in rows[1:]]
     assert sizes == [0, 31, 1000]
@@ -95,7 +102,7 @@ def test_compare_energy_reports_ratio(tmp_path):
             "--override", "energy.kind=constant"] + FAST
     assert run_cli(args) == 0
     rows = (out / "summary.csv").read_text().splitlines()
-    assert rows[0].endswith(",capacity_ratio")
+    assert rows[0] == SUMMARY_HEADER + ",capacity_ratio"
     ratios = {r.split(",")[-1] for r in rows[1:]}
     policies = [r.split(",")[1] for r in rows[1:]]
     assert policies == ["sustainable", "greedy"]

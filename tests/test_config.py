@@ -5,6 +5,7 @@ import pytest
 
 from scsim.config import (
     DEFAULT_CACHE_SIZES,
+    SCHEMA,
     ConfigError,
     describe_schema,
     parse_settings,
@@ -246,3 +247,10 @@ def test_schema_description_covers_every_key():
                   "energy.kind", "station.cache_capacity", "policy.name",
                   "engine.delta_large", "engine.cache_sizes"):
         assert entry in text
+
+
+def test_described_defaults_parse_back_to_the_defaults():
+    # every "section.key = default  # meaning" line, fed back as an override
+    overrides = tuple(line.split("#", 1)[0] for line in describe_schema().splitlines())
+    assert len(overrides) == sum(len(keys) for keys in SCHEMA.values())
+    assert parse_settings("", overrides) == parse_settings("")

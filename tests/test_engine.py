@@ -14,8 +14,8 @@ from scsim.engine import (
     Scenario,
     compare_energy,
     expected_offload,
+    map_ordered,
     run,
-    run_many,
     sweep_cache,
 )
 from scsim.mobility import Highway, TrafficProfile
@@ -274,15 +274,15 @@ def test_compare_energy_defines_zero_over_zero_as_one():
     assert cmp.capacity_ratio == 1.0
 
 
-def test_run_many_preserves_order_and_matches_sequential():
+def test_map_ordered_run_preserves_order_and_matches_sequential():
     scenarios = [
         Scenario(traffic=TrafficProfile(base_density=0.001, enabled=False),
                  duration=900, seed=s)
         for s in (1, 2)
     ]
     seq = [run(sc) for sc in scenarios]
-    batch = run_many(scenarios, workers=1)
-    forked = run_many(scenarios, workers=2)
+    batch = map_ordered(run, scenarios, workers=1)
+    forked = map_ordered(run, scenarios, workers=2)
     for ref, got in zip(seq, batch):
         assert ref.epochs == got.epochs
     for ref, got in zip(seq, forked):
