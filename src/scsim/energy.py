@@ -2,8 +2,9 @@
 
 Power is expressed in units of the maximum station draw (1.0 = full
 load), energy in power-units x seconds. ``Battery`` fields accept either
-scalars or numpy arrays, so a whole bank of per-station batteries can be
-stepped with one call.
+scalars or numpy arrays: :func:`battery_step` steps either, and
+:func:`settle` settles a 1-D bank of per-station batteries a block of
+steps at a time.
 """
 from __future__ import annotations
 
@@ -106,7 +107,9 @@ class Battery:
     The ledger identity ``cum_harvested - cum_overflow - cum_consumed ==
     level - initial_level`` holds exactly (to float rounding) after any
     sequence of steps; ``cum_deficit`` records requested-but-undelivered
-    energy and sits outside the identity.
+    energy and sits outside the identity. ``level`` is one scalar or, for
+    a bank, one entry per station; every step books overflow, which stays
+    exactly 0.0 at an infinite ``capacity``.
     """
 
     level: float | np.ndarray = 0.0
@@ -137,8 +140,9 @@ def battery_step(
     time. ``harvest`` and ``draw`` are power rates held constant over
     ``dt`` seconds. Delivered power is capped by what the store plus this
     interval's harvest can supply; the gap is booked as deficit. Charge
-    beyond ``capacity`` is booked as overflow. Mutates ``batt`` and
-    returns it along with the delivered power.
+    beyond ``capacity`` is booked as overflow, exactly 0.0 when the
+    capacity is infinite. Mutates ``batt`` and returns it along with the
+    delivered power.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
@@ -147,13 +151,9 @@ def battery_step(
     requested = draw * dt
     delivered = np.minimum(requested, available)
     after = available - delivered
-    if batt.capacity == math.inf:
-        # overflow is identically zero; skip booking it
-        batt.level = after
-    else:
-        overflow = np.maximum(after - batt.capacity, 0.0)
-        batt.level = after - overflow
-        batt.cum_overflow = batt.cum_overflow + overflow
+    overflow = np.maximum(after - batt.capacity, 0.0)
+    batt.level = after - overflow
+    batt.cum_overflow = batt.cum_overflow + overflow
     batt.cum_harvested += harvested
     batt.cum_consumed += delivered
     batt.cum_deficit += requested - delivered
@@ -163,57 +163,57 @@ def battery_step(
 def settle(
     batt: Battery,
     harvest: np.ndarray,
-    nominal: float | np.ndarray,
     draw_at: Callable[[int, np.ndarray, np.ndarray], float | np.ndarray],
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Advance the battery over a block of steps whose draws depend on its level.
+    """Advance a bank of batteries over a block of steps whose draws depend on their levels.
 
-    ``harvest`` holds one rate per step, shared by every battery;
-    ``nominal`` the rate each step requests if the battery never binds,
-    one row per step shaped like ``batt.level``, or one value for all.
-    ``draw_at(k, levels, harvest)`` returns the rates the steps from ``k``
-    on request at the given start levels (one row per step; ``harvest``
-    shaped to broadcast over them). Each pass guesses the start levels of
-    the unsettled steps from the nominal draws, lets ``draw_at`` decide
-    from the guess, and books the steps up to the first whose end level
-    the step rule finds off the next guess; the rest is guessed again. A
-    guess's first row is the true level, so each pass books at least one
-    step, and the rows and ``batt`` end bit-identical to a loop of
-    :func:`battery_step`. Returns the delivered power and the end level
-    of every step.
+    ``batt.level`` holds one level per station and ``harvest`` one rate per
+    step, shared by every station. ``draw_at(k, levels, harvest)`` returns
+    the rates the steps from ``k`` on request at the given start levels
+    (one row per step; ``harvest`` is a column that broadcasts over them).
+    Its first guess is what the controller asks of a store that never
+    binds: ``draw_at`` at infinite levels, evaluated once. Each pass
+    guesses the start levels of the unsettled steps from those draws, lets
+    ``draw_at`` decide from the guess, and books the steps up to the first
+    whose end level the step rule finds off the next guess; the rest is
+    guessed again. A guess's first row is the true level, so each pass
+    books at least one step, and the rows and ``batt`` end bit-identical
+    to a loop of :func:`battery_step`. Returns the delivered power and the
+    end level of every step.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    delivered = np.empty((len(harvest),) + np.shape(batt.level))
+    rates = harvest[:, None]
+    delivered = np.empty((len(harvest), len(batt.level)))
     level = np.empty_like(delivered)
+    unbound = np.broadcast_to(draw_at(0, np.full(delivered.shape, np.inf), rates), delivered.shape)
     k = 0
     while k < len(harvest):
-        rest = harvest[k:]
-        guess = _guess_levels(batt, rest, nominal[k:] if np.ndim(nominal) else nominal, dt)
-        draw = draw_at(k, guess, _per_step(rest, batt))
-        k += _battery_run(batt, rest, draw, dt, guess, delivered[k:], level[k:])
+        guess = _guess_levels(batt, rates[k:], unbound[k:], dt)
+        draw = draw_at(k, guess, rates[k:])
+        k += _battery_run(batt, rates[k:], draw, dt, guess, delivered[k:], level[k:])
     return delivered, level
 
 
-def _guess_levels(
-    batt: Battery, harvest: np.ndarray, draw: float | np.ndarray, dt: float
-) -> np.ndarray:
+def _guess_levels(batt: Battery, harvest: np.ndarray, draw: np.ndarray, dt: float) -> np.ndarray:
     """Guess the level at the start of each of a block of steps.
 
-    The guess is the level if every step delivered its nominal ``draw``,
-    built by one sequential accumulate of the same additions, in the same
-    order, as a loop of :func:`battery_step`. Once a battery's guess would
-    end a step below 0 or above a finite capacity, it stays at that bound
-    from there on. Returns one row per step; row 0 is ``batt.level``.
+    The guess is the level if every step delivered the unconstrained
+    ``draw`` (one row per step), built by one sequential accumulate of the
+    same additions, in the same order, as a loop of :func:`battery_step`.
+    Row 0 is the true ``batt.level`` and is kept as it is, even when
+    rounding has left it an ulp above the capacity. From the first later
+    row that would end below 0 or above the capacity, a battery's guess
+    stays at that bound. Returns one row per step.
     """
-    shape = (len(harvest),) + np.shape(batt.level)
-    rows = np.empty((2 * shape[0],) + shape[1:])
+    rows = np.empty((2 * len(harvest), len(batt.level)))
     rows[0] = batt.level
-    rows[1::2] = _per_step(harvest, batt) * dt
-    rows[2::2] = -np.broadcast_to(draw * dt, shape)[:-1]
+    rows[1::2] = harvest * dt
+    rows[2::2] = -draw[:-1] * dt
     levels = np.add.accumulate(rows, axis=0)[0::2]
     out = (levels < 0.0) | (levels > batt.capacity)
+    out[0] = False
     first = np.take_along_axis(levels, out.argmax(axis=0)[None], axis=0)
     bound = np.where(first < 0.0, 0.0, batt.capacity)
     return np.where(np.logical_or.accumulate(out, axis=0), bound, levels)
@@ -236,33 +236,24 @@ def _battery_run(
     all. Writes the delivered power and end level of each step taken to
     the leading rows of the two outputs and returns how many it took.
     """
-    harvested = _per_step(harvest, batt) * dt
+    harvested = harvest * dt
     available = start + harvested
     requested = draw * dt
     delivered = np.minimum(requested, available)
     after = available - delivered
-    bounded = batt.capacity != math.inf
-    if bounded:
-        overflow = np.maximum(after - batt.capacity, 0.0)
-        after = after - overflow
-    missed = after[:-1] != start[1:]
-    missed = missed.any(axis=tuple(range(1, missed.ndim)))
+    overflow = np.maximum(after - batt.capacity, 0.0)
+    after = after - overflow
+    missed = (after[:-1] != start[1:]).any(axis=1)
     k = int(missed.argmax()) + 1 if missed.any() else len(start)
 
     batt.level = after[k - 1].copy()
-    if bounded:
-        batt.cum_overflow = _add_rows(batt.cum_overflow, overflow[:k])
-    batt.cum_harvested = float(_add_rows(batt.cum_harvested, harvested[:k].ravel()))
+    batt.cum_overflow = _add_rows(batt.cum_overflow, overflow[:k])
+    batt.cum_harvested = float(_add_rows(batt.cum_harvested, harvested[:k, 0]))
     batt.cum_consumed = _add_rows(batt.cum_consumed, delivered[:k])
     batt.cum_deficit = _add_rows(batt.cum_deficit, (requested - delivered)[:k])
     delivered_out[:k] = delivered[:k] / dt
     level_out[:k] = after[:k]
     return k
-
-
-def _per_step(harvest: np.ndarray, batt: Battery) -> np.ndarray:
-    """One rate per step, shaped to broadcast over rows of ``batt.level``."""
-    return np.reshape(harvest, (-1,) + (1,) * np.ndim(batt.level))
 
 
 def _add_rows(total: float | np.ndarray, rows: np.ndarray) -> float | np.ndarray:

@@ -296,10 +296,12 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
                 hits[k, s0:s1] = np.bincount(slots[hit], minlength=nb * n_stations).reshape(nb, n_stations)
                 continuity[k] += int(np.count_nonzero(crossed & hit))
             handovers += int(np.count_nonzero(crossed))
-            # free this block's flags and slots before the next block's lookahead
-            del cached, slots, hit
+            # free this block's arrays before the next block, or epoch, allocates its own
+            positions = cells = crossed = lookup = cached = slots = hit = pairs = None
 
         yield [DemandEpoch(t0, n_veh, hits[k], handovers, continuity[k]) for k in range(n_sizes)]
+        # the consumer drops its epochs too, so two epochs' hits never coexist
+        del hits
 
 
 def _step_total(rows: np.ndarray) -> float:
@@ -336,7 +338,8 @@ class _EnergyPass:
     """Planning, serving and the battery ledger of one policy.
 
     Fed one :class:`DemandEpoch` at a time through :meth:`serve`; the
-    per-station bank and the running totals live here, so several passes
+    per-station bank, the epoch rows and the demand totals the rows do
+    not hold (hits, handovers, continuity) live here, so several passes
     can consume one demand stream side by side. Both policies settle the
     same bank through :func:`~scsim.energy.settle` and differ only in the
     draw their step controller requests: the sustainable one rations it,
@@ -351,10 +354,7 @@ class _EnergyPass:
         self.dt = float(sc.step_seconds)
         self.bank = Battery(level=np.zeros(self.n_stations), capacity=sc.battery_capacity)
         self.epochs: list[EpochMetrics] = []
-        self.steps = 0
-        self.offered = self.scs = self.hits = 0
-        self.handovers = self.continuity = self.pushes = self.defers = 0
-        self.prev_deficit = self.prev_overflow = 0.0
+        self.hits = self.handovers = self.continuity = 0
 
     def serve(self, demand: DemandEpoch) -> None:
         """Plan the epoch, serve its steps, and book its metrics row."""
@@ -363,27 +363,27 @@ class _EnergyPass:
         t0 = demand.t0
         hits = demand.hits
         harvests = harvest_rates(sc.energy, t0 + np.arange(self.n_sub) * self.dt)
+        deficit_before = float(np.sum(self.bank.cum_deficit))
+        overflow_before = float(np.sum(self.bank.cum_overflow))
         if sc.policy == "sustainable":
             forecast = mean_rate(sc.energy, float(t0), float(t0 + sc.epoch_seconds))
             start_level = self.bank.level
             active, quotas = sustainable_large_step(pm, start_level, forecast, float(sc.epoch_seconds))
-            nominal = np.where(active, pm.p_const + pm.p_per_user * np.minimum(hits, quotas), pm.p_sleep)
 
             def draw_at(k, levels, harvest):
-                return self._step_rule(levels, harvest, hits[k:], active, quotas)[1]
+                return sustainable_small_step(pm, levels, harvest, hits[k:], quotas, active, self.dt)[1]
 
-            delivered, level = settle(self.bank, harvests, nominal, draw_at, self.dt)
+            delivered, level = settle(self.bank, harvests, draw_at, self.dt)
             before = np.vstack((start_level[None, :], level[:-1]))
-            served, _ = self._step_rule(before, harvests[:, None], hits, active, quotas)
+            served, _ = sustainable_small_step(pm, before, harvests[:, None], hits, quotas, active, self.dt)
             pushes = int(np.count_nonzero((before > sc.high_watermark) & active))
             defers = int(np.count_nonzero((before < sc.low_watermark) & active))
         else:
             active, quotas = greedy_large_step(pm, self.n_stations)
-            delivered, level = settle(self.bank, harvests, 1.0, lambda *_: 1.0, self.dt)
+            delivered, level = settle(self.bank, harvests, lambda *_: 1.0, self.dt)
             served = greedy_small_step(pm, hits, delivered, sc.greedy_partial)
             pushes = defers = 0
-        self.steps += self.n_sub
-        _check_ledger(self.bank, self.steps)
+        _check_ledger(self.bank, (len(self.epochs) + 1) * self.n_sub)
         if self.step_hook is not None:
             for s in range(self.n_sub):
                 self.step_hook(
@@ -400,8 +400,6 @@ class _EnergyPass:
         scs = int(served.sum())
         n_hits = int(hits.sum())
         offered = demand.n_vehicles * self.n_sub
-        deficit_now = float(np.sum(self.bank.cum_deficit))
-        overflow_now = float(np.sum(self.bank.cum_overflow))
         self.epochs.append(
             EpochMetrics(
                 epoch_start_s=t0,
@@ -411,8 +409,8 @@ class _EnergyPass:
                 hit_rate=n_hits / offered if offered else 0.0,
                 mean_power=_step_total(delivered) / (self.n_stations * self.n_sub),
                 mean_battery=_step_total(level) / (self.n_stations * self.n_sub),
-                outage_energy=deficit_now - self.prev_deficit,
-                overflow_energy=overflow_now - self.prev_overflow,
+                outage_energy=float(np.sum(self.bank.cum_deficit)) - deficit_before,
+                overflow_energy=float(np.sum(self.bank.cum_overflow)) - overflow_before,
                 continuity_rate=(
                     demand.continuity / demand.handovers if demand.handovers else 1.0
                 ),
@@ -420,43 +418,28 @@ class _EnergyPass:
                 defers=defers,
             )
         )
-        self.prev_deficit, self.prev_overflow = deficit_now, overflow_now
-        self.offered += offered
-        self.scs += scs
         self.hits += n_hits
         self.handovers += demand.handovers
         self.continuity += demand.continuity
-        self.pushes += pushes
-        self.defers += defers
-
-    def _step_rule(
-        self, levels: np.ndarray, harvest, hits: np.ndarray, active: np.ndarray, quotas: np.ndarray
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Users served and power requested at ``levels``.
-
-        Active stations follow :func:`sustainable_small_step`; sleeping ones
-        serve nobody and draw ``p_sleep``, or what is left if that is less.
-        """
-        pm = self.sc.power
-        step_served, draw = sustainable_small_step(pm, levels, harvest, hits, quotas, self.dt)
-        sleep_draw = np.minimum(pm.p_sleep, levels / self.dt + harvest)
-        return np.where(active, step_served, 0), np.where(active, draw, sleep_draw)
 
     def report(self) -> MetricsReport:
+        """Whole-run totals: sums of the epoch rows, energy read off the bank."""
+        offered = sum(em.offered for em in self.epochs)
+        scs = sum(em.scs_served for em in self.epochs)
         return MetricsReport(
             seed=self.sc.seed,
             policy=self.sc.policy,
             epochs=self.epochs,
-            offered=self.offered,
-            scs_served=self.scs,
-            mbs_served=self.offered - self.scs,
-            normalized_offload=self.scs / self.offered if self.offered else 0.0,
-            hit_rate=self.hits / self.offered if self.offered else 0.0,
+            offered=offered,
+            scs_served=scs,
+            mbs_served=offered - scs,
+            normalized_offload=scs / offered if offered else 0.0,
+            hit_rate=self.hits / offered if offered else 0.0,
             continuity_rate=self.continuity / self.handovers if self.handovers else 1.0,
-            outage_energy=self.prev_deficit,
-            overflow_energy=self.prev_overflow,
-            pushes=self.pushes,
-            defers=self.defers,
+            outage_energy=float(np.sum(self.bank.cum_deficit)),
+            overflow_energy=float(np.sum(self.bank.cum_overflow)),
+            pushes=sum(em.pushes for em in self.epochs),
+            defers=sum(em.defers for em in self.epochs),
             batteries=self.bank,
         )
 
@@ -488,6 +471,8 @@ def _simulate(sc: Scenario, passes: list[_EnergyPass]) -> None:
     for demands in _demand_pass(sc, sizes):
         for energy, k in zip(passes, which):
             energy.serve(demands[k])
+        # drop this epoch before the demand pass allocates the next one
+        del demands
 
 
 def map_ordered(fn: Callable, items: list, workers: int = 1) -> list:
@@ -569,13 +554,14 @@ def sweep_cache(base: Scenario, cache_sizes: list[int]) -> list[SweepPoint]:
     passes = [_EnergyPass(replace(base, cache_capacity=int(c))) for c in cache_sizes]
     _simulate(base, passes)
     steps = base.duration // base.step_seconds
+    reports = [energy.report() for energy in passes]
     return [
         SweepPoint(
             cache_capacity=energy.sc.cache_capacity,
-            offload_mbps=energy.scs / (steps * base.highway.n_stations) * base.power.rate_per_user_mbps,
-            report=energy.report(),
+            offload_mbps=report.scs_served / (steps * base.highway.n_stations) * base.power.rate_per_user_mbps,
+            report=report,
         )
-        for energy in passes
+        for energy, report in zip(passes, reports)
     ]
 
 
@@ -594,10 +580,11 @@ def compare_energy(base: Scenario) -> EnergyComparison:
     capacity ratio is daily station-served traffic, sustainable over
     greedy (defined as 1.0 when both sit at zero).
     """
-    sus, greedy = passes = [_EnergyPass(replace(base, policy=p)) for p in POLICIES]
+    passes = [_EnergyPass(replace(base, policy=p)) for p in POLICIES]
     _simulate(base, passes)
-    if greedy.scs == 0:
-        ratio = 1.0 if sus.scs == 0 else math.inf
+    sus, greedy = (energy.report() for energy in passes)
+    if greedy.scs_served == 0:
+        ratio = 1.0 if sus.scs_served == 0 else math.inf
     else:
-        ratio = sus.scs / greedy.scs
-    return EnergyComparison(sustainable=sus.report(), greedy=greedy.report(), capacity_ratio=ratio)
+        ratio = sus.scs_served / greedy.scs_served
+    return EnergyComparison(sustainable=sus, greedy=greedy, capacity_ratio=ratio)

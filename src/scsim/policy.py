@@ -134,6 +134,7 @@ def sustainable_small_step(
     harvest: float | np.ndarray,
     offered_hits: int | np.ndarray,
     quota: int | np.ndarray,
+    active: bool | np.ndarray,
     dt: float,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Step decision: serve as much offered traffic as is affordable now.
@@ -143,17 +144,20 @@ def sustainable_small_step(
     never exceeds that available rate, so the sustainable controller is
     outage-free by construction; when even the constant floor is not
     affordable the station browns out (draws what exists, serves nobody).
-    Returns ``(served, draw)``: users served and requested power, shaped
-    like the broadcast inputs. The engine, not this function, counts the
-    active station-steps that start above the high / below the low
-    battery watermark.
+    A sleeping station (``active`` false) serves nobody and draws
+    ``p_sleep``, or what is available if that is less. Returns ``(served,
+    draw)``: users served and requested power, shaped like the broadcast
+    inputs. The engine, not this function, counts the active
+    station-steps that start above the high / below the low battery
+    watermark.
     """
     avail = battery_level / dt + harvest
     net = np.minimum(avail, 1.0) - power.p_const
     affordable = np.floor(net / power.p_per_user + _FLOOR_EPS).astype(np.int64)
     affordable = np.maximum(affordable, 0)
-    served = np.minimum(np.minimum(offered_hits, quota), affordable)
-    draw = np.minimum(power.p_const + power.p_per_user * served, avail)
+    # a sleeper's quota is 0 and its floor p_sleep
+    served = np.minimum(np.minimum(offered_hits, np.where(active, quota, 0)), affordable)
+    draw = np.minimum(np.where(active, power.p_const, power.p_sleep) + power.p_per_user * served, avail)
     return served, draw
 
 

@@ -136,7 +136,7 @@ def reference_run(scenario, step_hook=None):
                         ep_pushes += int(np.count_nonzero((bank.level > sc.high_watermark) & active))
                         ep_defers += int(np.count_nonzero((bank.level < sc.low_watermark) & active))
                         served, draw = sustainable_small_step(
-                            pm, bank.level, harvest, hits_per_cell, quotas, dt
+                            pm, bank.level, harvest, hits_per_cell, quotas, True, dt
                         )
                         if not all_active:
                             served = np.where(active, served, 0)

@@ -189,11 +189,18 @@ def loop_run(batt, harvest, rule, dt):
 
 
 def recording(draw):
-    """A level-blind controller requesting ``draw``; logs each pass's first step and guess."""
+    """A level-blind controller requesting ``draw``; logs each pass's first step and guess.
+
+    The call at unbounded levels that gives :func:`settle` its first
+    guess comes before any pass and is not logged.
+    """
     passes = []
 
     def draw_at(k, levels, harvest):
-        passes.append((k, levels.copy()))
+        if np.isposinf(levels).all():
+            assert k == 0 and not passes
+        else:
+            passes.append((k, levels.copy()))
         return draw[k:] if np.ndim(draw) else draw
 
     return draw_at, passes
@@ -210,7 +217,7 @@ class TestBatteryRun:
         batt = Battery(level=np.array([1.0, 1.25]), capacity=1.5)
         draw = np.array([[0.4, 0.0]] * 5)
         draw_at, passes = recording(draw)
-        _, level = settle(batt, np.array([0.0, 0.25, 0.25, 0.0, 0.0]), draw, draw_at, dt=1.0)
+        _, level = settle(batt, np.array([0.0, 0.25, 0.25, 0.0, 0.0]), draw_at, dt=1.0)
         # station 0 ends step 3 below zero, station 1 ends step 2 above
         # capacity; the pinned guesses hold, so one pass settles the block
         ((k, guess),) = passes
@@ -219,9 +226,39 @@ class TestBatteryRun:
         assert guess[:, 1].tolist() == [1.25, 1.25, 1.5, 1.5, 1.5]
         np.testing.assert_array_equal(level[:-1], guess[1:])
         draw_at, passes = recording(1.0)
-        settle(Battery(level=0.5), np.zeros(3), 1.0, draw_at, dt=1.0)
-        ((_, scalar),) = passes
-        assert scalar.tolist() == [0.5, 0.0, 0.0]
+        settle(Battery(level=np.array([0.5])), np.zeros(3), draw_at, dt=1.0)
+        ((_, single),) = passes
+        assert single[:, 0].tolist() == [0.5, 0.0, 0.0]
+
+    def test_each_guess_follows_what_an_unbounded_store_is_asked(self):
+        """Every pass guesses from the draws asked at infinite levels, sliced to its steps."""
+        calls = []
+
+        def draw_at(k, levels, harvest):
+            calls.append(levels[:, 0].tolist())
+            return np.minimum(0.5, levels / 8)
+
+        settle(Battery(level=np.array([2.0])), np.zeros(4), draw_at, dt=1.0)
+        # an unbounded store is asked 0.5 a step; the true draws are less,
+        # so every guess misses after one step and the rest is guessed again
+        assert calls[0] == [math.inf] * 4
+        assert calls[1:3] == [[2.0, 1.5, 1.0, 0.5], [1.75, 1.25, 0.75]]
+        assert len(calls) == 5
+
+    def test_true_level_above_capacity_is_not_pinned(self):
+        """Rounding can leave a level an ulp above capacity; row 0 still starts there."""
+        harvest = np.array([0.0, 0.0, 0.5])
+        above = np.nextafter(1.0, 2.0)
+        batt = Battery(level=np.array([1.0]), capacity=1.0)
+        want = Battery(level=np.array([1.0]), capacity=1.0)
+        batt.level, want.level = np.array([above]), np.array([above])
+        draw_at, passes = recording(0.25)
+        delivered, level = settle(batt, harvest, draw_at, dt=1.0)
+        want_delivered, want_level = loop_run(want, harvest, lambda *_: 0.25, 1.0)
+        assert passes[0][1][0].tolist() == [above]
+        np.testing.assert_array_equal(delivered, want_delivered)
+        np.testing.assert_array_equal(level, want_level)
+        assert_same_ledger(batt, want)
 
     def test_unbinding_block_takes_every_step(self):
         harvest = np.array([0.3, 0.9, 0.0, 0.4])
@@ -229,7 +266,7 @@ class TestBatteryRun:
         batt = Battery(level=np.array([2.0, 3.0]))
         want = Battery(level=np.array([2.0, 3.0]))
         draw_at, passes = recording(draw)
-        delivered, level = settle(batt, harvest, draw, draw_at, 1.0)
+        delivered, level = settle(batt, harvest, draw_at, 1.0)
         want_delivered, want_level = loop_run(want, harvest, lambda s, *_: draw[s], 1.0)
         assert [k for k, _ in passes] == [0]
         np.testing.assert_array_equal(delivered, want_delivered)
@@ -241,12 +278,11 @@ class TestBatteryRun:
         rng = np.random.default_rng(7)
         reguessed = 0
         for trial in range(300):
-            shape = () if trial % 3 == 0 else (int(rng.integers(1, 5)),)
+            shape = (1,) if trial % 3 == 0 else (int(rng.integers(1, 5)),)
             capacity = float(rng.choice([math.inf, rng.uniform(0.5, 4.0)]))
             dt = float(rng.choice([1.0, 2.0, 0.5]))
             n_sub = int(rng.integers(1, 30))
             level0 = rng.uniform(0.0, min(capacity, 3.0), size=shape)
-            level0 = float(level0) if shape == () else level0
             harvest = rng.uniform(0.0, 1.5, size=n_sub) * rng.integers(0, 2, size=n_sub)
             # the controller asks for its nominal draw above a threshold
             # level and for less below it, so guesses from nominal miss
@@ -256,7 +292,10 @@ class TestBatteryRun:
             ks = []
 
             def draw_at(k, levels, h):
-                ks.append(k)
+                if np.isfinite(levels).all():
+                    ks.append(k)
+                    # each guess starts at the true level, even an ulp above capacity
+                    np.testing.assert_array_equal(levels[0], batt.level)
                 return np.where(levels > threshold[k:], nominal[k:], low[k:])
 
             def rule(s, level, h):
@@ -264,7 +303,7 @@ class TestBatteryRun:
 
             batt = Battery(level=level0, capacity=capacity)
             want = Battery(level=level0, capacity=capacity)
-            delivered, level = settle(batt, harvest, nominal, draw_at, dt)
+            delivered, level = settle(batt, harvest, draw_at, dt)
             want_delivered, want_level = loop_run(want, harvest, rule, dt)
             assert ks[0] == 0 and ks == sorted(set(ks)) and ks[-1] < n_sub
             reguessed += len(ks) > 1
@@ -275,4 +314,4 @@ class TestBatteryRun:
 
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
-            settle(Battery(), np.zeros(2), 0.0, lambda *_: 0.0, 0.0)
+            settle(Battery(level=np.zeros(1)), np.zeros(2), lambda *_: 0.0, 0.0)

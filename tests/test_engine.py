@@ -628,7 +628,18 @@ def test_run_matches_single_loop_reference(policy):
         energy=EnergyProfile(kind="constant", peak_rate=1.0),
         duration=900,
     )
-    scenarios = [random_scenario(rng) for _ in range(40)] + list(FALLBACK_CASES.values()) + [dense]
+    # a battery smaller than one step's net charge: rounding can leave the
+    # level an ulp above capacity, and the next pass must start from it
+    ulp_above = Scenario(
+        highway=Highway(3, 500.0),
+        traffic=TrafficProfile(base_density=0.020498607180097713, enabled=False),
+        energy=EnergyProfile(sunrise_h=0.0, sunset_h=0.2, peak_rate=2.074193883109602),
+        battery_capacity=0.23203544606912846,
+        epoch_seconds=60,
+        duration=600,
+        seed=14,
+    )
+    scenarios = [random_scenario(rng) for _ in range(40)] + list(FALLBACK_CASES.values()) + [ulp_above, dense]
     for sc in scenarios:
         sc = replace(sc, policy=policy)
         got, got_steps = trace(sc, run)

@@ -191,16 +191,16 @@ class TestSustainableLargeStep:
 
 class TestSustainableSmallStep:
     def test_fully_powered_at_noon(self):
-        served, draw = sustainable_small_step(PM, 0.0, 1.0, offered_hits=7, quota=10, dt=1.0)
+        served, draw = sustainable_small_step(PM, 0.0, 1.0, offered_hits=7, quota=10, active=True, dt=1.0)
         assert served == 7
         assert draw == pytest.approx(0.85, abs=1e-12)
 
     def test_affordable_floor(self):
-        served, _ = sustainable_small_step(PM, 0.0, 0.74, offered_hits=10, quota=10, dt=1.0)
+        served, _ = sustainable_small_step(PM, 0.0, 0.74, offered_hits=10, quota=10, active=True, dt=1.0)
         assert served == 4
 
     def test_brownout_serves_nothing_but_drains(self):
-        served, draw = sustainable_small_step(PM, 0.1, 0.1, offered_hits=10, quota=10, dt=1.0)
+        served, draw = sustainable_small_step(PM, 0.1, 0.1, offered_hits=10, quota=10, active=True, dt=1.0)
         assert served == 0
         assert draw == pytest.approx(0.2, abs=1e-12)
 
@@ -211,13 +211,13 @@ class TestSustainableSmallStep:
             harv = float(rng.random() * 1.5)
             dt = float(rng.choice([1.0, 5.0]))
             served, draw = sustainable_small_step(
-                PM, level, harv, offered_hits=int(rng.integers(0, 20)), quota=int(rng.integers(0, 11)), dt=dt
+                PM, level, harv, offered_hits=int(rng.integers(0, 20)), quota=int(rng.integers(0, 11)), active=True, dt=dt
             )
             assert draw <= min(1.0, level / dt + harv) + 1e-9
             assert served <= 10
 
     def test_quota_binds(self):
-        served, _ = sustainable_small_step(PM, 1e6, 1.0, offered_hits=10, quota=3, dt=1.0)
+        served, _ = sustainable_small_step(PM, 1e6, 1.0, offered_hits=10, quota=3, active=True, dt=1.0)
         assert served == 3
 
     def test_vectorised_matches_scalar(self):
@@ -225,13 +225,39 @@ class TestSustainableSmallStep:
         harv = np.array([0.2, 0.6, 0.0])
         offered = np.array([5, 9, 2])
         quota = np.array([10, 4, 10])
-        served, draw = sustainable_small_step(PM, levels, harv, offered, quota, dt=1.0)
+        served, draw = sustainable_small_step(PM, levels, harv, offered, quota, True, dt=1.0)
         for i in range(3):
             one_served, one_draw = sustainable_small_step(
-                PM, float(levels[i]), float(harv[i]), int(offered[i]), int(quota[i]), dt=1.0
+                PM, float(levels[i]), float(harv[i]), int(offered[i]), int(quota[i]), True, dt=1.0
             )
             assert served[i] == one_served
             assert draw[i] == pytest.approx(float(one_draw), abs=1e-12)
+
+
+    def test_sleeping_station_serves_nobody_and_draws_p_sleep(self):
+        served, draw = sustainable_small_step(PM, 50.0, 0.0, offered_hits=10, quota=10, active=False, dt=1.0)
+        assert served == 0
+        assert draw == PM.p_sleep
+
+    def test_sleeping_station_browns_out_below_p_sleep(self):
+        """A sleeper draws what the store and harvest hold when that is below p_sleep."""
+        served, draw = sustainable_small_step(PM, 0.004, 0.002, offered_hits=3, quota=0, active=False, dt=2.0)
+        assert served == 0
+        assert draw == 0.004 / 2.0 + 0.002 < PM.p_sleep
+
+    def test_active_mask_picks_the_rule_per_station(self):
+        levels = np.array([100.0, 100.0, 0.0, 0.0])
+        harv = np.array([0.5, 0.5, 0.003, 0.003])
+        active = np.array([True, False, True, False])
+        served, draw = sustainable_small_step(PM, levels, harv, 7, 10, active, dt=1.0)
+        assert served.dtype == np.int64
+        assert served.tolist() == [7, 0, 0, 0]
+        assert draw.tolist() == [PM.p_const + PM.p_per_user * 7, PM.p_sleep, 0.003, 0.003]
+        for i in range(4):
+            one_served, one_draw = sustainable_small_step(
+                PM, float(levels[i]), float(harv[i]), 7, 10, bool(active[i]), dt=1.0
+            )
+            assert (served[i], draw[i]) == (one_served, one_draw)
 
 
 class TestGreedy:
