@@ -22,9 +22,8 @@ from scsim import (
     sweep_cache,
     top_k,
 )
+from scsim.config import DEFAULT_CACHE_SIZES as SIZES
 from scsim.svgplot import render_line_chart
-
-SIZES = [0, 1, 2, 5, 10, 20, 31, 50, 100, 200, 500, 1000]
 
 
 def main() -> None:

@@ -225,12 +225,9 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
 
     masks = np.zeros((n_sizes, n_stations, sc.n_files + 1), dtype=bool)
     flat_masks = masks.reshape(n_sizes, -1)
-    stores = [
-        [CacheStore(c, sc.split_ratio, mask=masks[k, i]) for i in range(n_stations)]
-        for k, c in enumerate(capacities)
-    ]
+    stores = [CacheStore(c, sc.split_ratio, mask=masks[k]) for k, c in enumerate(capacities)]
     # only the sizes with prefetch slots stage anything ahead of a handover
-    prefetching = [caches for caches in stores if caches[0].prefetch_capacity > 0] if sc.prefetch_budget else []
+    prefetching = [cache for cache in stores if cache.prefetch_capacity > 0] if sc.prefetch_budget else []
     dt = float(sc.step_seconds)
     n_sub = sc.epoch_seconds // sc.step_seconds
 
@@ -238,12 +235,11 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
         t0 = e * sc.epoch_seconds
         density = sc.traffic.base_density * traffic_multiplier(sc.traffic, float(t0))
         vehicles = spawn_vehicles(density, hw, catalog, rng, speed=sc.speed)
-        budgets = [sc.backhaul.realize(rng) for _ in range(n_stations)]
-        for caches in stores:
-            for cache, budget in zip(caches, budgets):
-                cache.apply_popular_update(
-                    plan_popular_update(cache.n_popular, catalog, budget, cache.popular_capacity)
-                )
+        budgets = sc.backhaul.realize(rng, n_stations)
+        for cache in stores:
+            cache.apply_popular_update(
+                plan_popular_update(cache.n_popular, catalog, budgets, cache.popular_capacity)
+            )
 
         n_veh = vehicles.n
         contents = vehicles.active_content
@@ -284,9 +280,9 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
             for j in range(nb):
                 if prefetching and changed[j] and bounds[j] < bounds[j + 1]:
                     requests = pairs[bounds[j]:bounds[j + 1]]
-                    for caches in prefetching:
-                        for st_idx, content in plan_prefetch(requests, caches, sc.prefetch_budget):
-                            caches[st_idx].prefetch_insert(content)
+                    for cache in prefetching:
+                        for pair in plan_prefetch(requests, cache, sc.prefetch_budget):
+                            cache.prefetch_insert(pair)
                 np.take(flat_masks, lookup[j], axis=1, out=cached[j])
 
             # (step, cell) slot of every vehicle, counted per size
@@ -514,24 +510,15 @@ def expected_offload(mu: float, c: int) -> float:
         raise ValueError(f"c must be >= 0, got {c}")
     if c == 0 or mu == 0.0:
         return 0.0
-    # E[min(X, c)] = sum_{k<c} k p_k + c (1 - CDF(c-1)); the head terms
-    # come from the stable pmf recursion (log-space for very large mu).
-    if mu <= 700.0:
-        p = math.exp(-mu)
-        cdf = p
-        head = 0.0
-        for k in range(1, c):
-            p *= mu / k
-            head += k * p
-            cdf += p
-    else:
-        head = 0.0
-        cdf = 0.0
-        log_mu = math.log(mu)
-        for k in range(c):
-            p = math.exp(k * log_mu - mu - math.lgamma(k + 1))
-            head += k * p
-            cdf += p
+    # E[min(X, c)] = sum_{k<c} k p_k + c (1 - CDF(c-1)); each head term is
+    # taken in log space, which stays accurate where exp(-mu) underflows
+    head = 0.0
+    cdf = 0.0
+    log_mu = math.log(mu)
+    for k in range(c):
+        p = math.exp(k * log_mu - mu - math.lgamma(k + 1))
+        head += k * p
+        cdf += p
     return head + c * max(0.0, 1.0 - cdf)
 
 

@@ -47,19 +47,22 @@ class BackhaulBudget:
                 f"variability must be finite and satisfy 0 <= lo <= hi, got {self.variability}"
             )
 
-    def realize(self, rng: np.random.Generator) -> int:
-        """Draw one epoch's realized budget; consumes one uniform."""
+    def realize(self, rng: np.random.Generator, n: int) -> np.ndarray:
+        """One epoch's budget per station: ``n`` uniforms in order, rounded half to even like ``round``."""
         lo, hi = self.variability
-        return int(round(self.files_per_epoch * (lo + (hi - lo) * rng.random())))
+        return np.rint(self.files_per_epoch * (lo + (hi - lo) * rng.random(n))).astype(np.int64)
 
 
-def plan_popular_update(n_popular: int, catalog: Catalog, budget: int, partition_size: int) -> int:
-    """Size of the popular partition after one budget-limited epoch update.
+def plan_popular_update(
+    n_popular: list[int] | np.ndarray, catalog: Catalog, budget: np.ndarray, partition_size: int
+) -> np.ndarray:
+    """Per-station popular partition sizes after one budget-limited epoch update.
 
-    The partition is the top-``n_popular`` prefix ``1..n_popular`` of the
-    popularity-sorted catalog. Each fetch consumes one unit of backhaul
-    budget, and the partition grows toward the top ``k = min(partition_size,
-    catalog.n_files)`` ids; it never evicts anything.
+    ``n_popular`` and ``budget`` hold one entry per station of a bank. Each
+    partition is the top-``n_popular`` prefix ``1..n_popular`` of the
+    popularity-sorted catalog. Each fetch consumes one unit of its station's
+    backhaul budget, and the partition grows toward the top ``k =
+    min(partition_size, catalog.n_files)`` ids; it never evicts anything.
 
     This is exactly what a general planner (fill free slots with the most
     popular missing ids, then swap the least popular cached id for the most
@@ -73,25 +76,25 @@ def plan_popular_update(n_popular: int, catalog: Catalog, budget: int, partition
     Returns the new ``n_popular``; apply it with
     ``CacheStore.apply_popular_update``.
     """
-    if budget < 0:
+    if np.any(budget < 0):
         raise ValueError("budget must be >= 0")
     if partition_size < 0:
         raise ValueError("partition_size must be >= 0")
-    return min(n_popular + budget, partition_size, catalog.n_files)
+    return np.minimum(np.add(n_popular, budget), min(partition_size, catalog.n_files))
 
 
 def plan_prefetch(
     requests: list[tuple[int, int]],
-    caches: list[CacheStore],
+    cache: CacheStore,
     budget_per_station: int,
 ) -> list[tuple[int, int]]:
     """Pick contents to stage ahead of predicted handovers.
 
     ``requests`` holds ``(station_index, content)`` pairs, most urgent
     first; earlier pairs win scarce budget. Contents already in either
-    partition of the destination's cache are skipped, as are duplicate
-    pairs. Returns the picked pairs in request order; apply them with
-    ``CacheStore.prefetch_insert`` once planning is done.
+    partition of the destination's cache in the bank ``cache`` are
+    skipped, as are duplicate pairs. Returns the picked pairs in request
+    order; apply each with ``cache.prefetch_insert`` once planning is done.
     """
     if budget_per_station < 0:
         raise ValueError("budget_per_station must be >= 0")
@@ -100,7 +103,7 @@ def plan_prefetch(
     for pair in requests:
         st_idx, content = pair
         n = taken.get(st_idx, 0)
-        if n < budget_per_station and pair not in plan and not caches[st_idx].contains(content):
+        if n < budget_per_station and pair not in plan and not cache.contains(st_idx, content):
             plan.append(pair)
             taken[st_idx] = n + 1
     return plan

@@ -34,7 +34,7 @@ def reference_run(scenario, step_hook=None):
     pm = sc.power
 
     masks = np.zeros((n_stations, sc.n_files + 1), dtype=bool)
-    caches = [CacheStore(sc.cache_capacity, sc.split_ratio, mask=masks[i]) for i in range(n_stations)]
+    cache = CacheStore(sc.cache_capacity, sc.split_ratio, mask=masks)
     bank = Battery(level=np.zeros(n_stations), capacity=sc.battery_capacity)
 
     sustainable = sc.policy == "sustainable"
@@ -42,7 +42,7 @@ def reference_run(scenario, step_hook=None):
     n_sub = sc.epoch_seconds // sc.step_seconds
     n_epochs = sc.duration // sc.epoch_seconds
     prefetch_on = (
-        sc.prefetch_budget > 0 and caches[0].prefetch_capacity > 0 and sc.cache_capacity > 0
+        sc.prefetch_budget > 0 and cache.prefetch_capacity > 0 and sc.cache_capacity > 0
     )
     forecast = np.empty(n_stations)
 
@@ -55,11 +55,10 @@ def reference_run(scenario, step_hook=None):
         t0 = e * sc.epoch_seconds
         density = sc.traffic.base_density * traffic_multiplier(sc.traffic, float(t0))
         vehicles = spawn_vehicles(density, hw, catalog, rng, speed=sc.speed)
-        budgets = [sc.backhaul.realize(rng) for _ in range(n_stations)]
-        for cache, budget in zip(caches, budgets):
-            cache.apply_popular_update(
-                plan_popular_update(cache.n_popular, catalog, budget, cache.popular_capacity)
-            )
+        budgets = sc.backhaul.realize(rng, n_stations)
+        cache.apply_popular_update(
+            plan_popular_update(cache.n_popular, catalog, budgets, cache.popular_capacity)
+        )
 
         forecast[:] = mean_rate(sc.energy, float(t0), float(t0 + sc.epoch_seconds))
         if sustainable:
@@ -117,8 +116,8 @@ def reference_run(scenario, step_hook=None):
                             for k, i in enumerate(idx)
                         )
                         requests = [(st_idx, content) for _, st_idx, content in triples]
-                        for st_idx, content in plan_prefetch(requests, caches, sc.prefetch_budget):
-                            caches[st_idx].prefetch_insert(content)
+                        for pair in plan_prefetch(requests, cache, sc.prefetch_budget):
+                            cache.prefetch_insert(pair)
 
                 if n_veh:
                     hit_mask = masks[cells, contents]

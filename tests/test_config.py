@@ -182,6 +182,8 @@ def test_scenario_invariants_surface_as_config_errors():
         parse_settings("", ("traffic.peak_width_h=inf",))
     with pytest.raises(ConfigError, match="finite"):
         parse_settings("", ("station.rate_per_user_mbps=inf",))
+    with pytest.raises(ConfigError, match="p_per_user"):
+        parse_settings("", ("station.p_per_user=0", "station.p_const=1.0"))
 
 
 def test_power_normalization_enforced_via_config():

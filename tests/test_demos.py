@@ -1,4 +1,7 @@
-"""Each demo script runs to completion against the public API and draws its chart."""
+"""Each demo script runs to completion against the public API and draws its chart.
+
+The chart must match, byte for byte, the one committed under ``demos/out``.
+"""
 import os
 import subprocess
 import sys
@@ -25,4 +28,7 @@ def test_demo_runs_and_writes_svg(script, tmp_path):
         cwd=tmp_path,
     )
     assert proc.returncode == 0, proc.stderr
-    assert list(tmp_path.glob("*.svg"))
+    charts = list(tmp_path.glob("*.svg"))
+    assert charts
+    for chart in charts:
+        assert chart.read_bytes() == (ROOT / "demos" / "out" / chart.name).read_bytes(), chart.name

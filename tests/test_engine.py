@@ -46,7 +46,7 @@ def test_expected_offload_frozen_values():
 
 
 def test_expected_offload_large_mu_branch():
-    # above the pmf-recursion cutoff the log-space route takes over
+    # the log-space terms stay accurate where exp(-mu) underflows
     for mu in (800.0, 1200.0):
         for c in (700, 900):
             assert expected_offload(mu, c) == pytest.approx(

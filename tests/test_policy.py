@@ -19,9 +19,9 @@ CAT = build_catalog(1000, 1.0)
 PM = PowerModel()
 
 
-def cache(capacity=10, split=0.8, n_popular=0):
-    c = CacheStore(capacity, split, mask=np.zeros(CAT.n_files + 1, dtype=bool))
-    c.apply_popular_update(n_popular)
+def cache(capacity=10, split=0.8, n_popular=0, n_stations=1):
+    c = CacheStore(capacity, split, mask=np.zeros((n_stations, CAT.n_files + 1), dtype=bool))
+    c.apply_popular_update([n_popular] * n_stations)
     return c
 
 
@@ -29,12 +29,32 @@ class TestBackhaulBudget:
     def test_realized_within_range(self):
         budget = BackhaulBudget(50, (0.5, 1.0))
         rng = np.random.default_rng(0)
-        vals = [budget.realize(rng) for _ in range(500)]
+        vals = budget.realize(rng, 500)
         assert min(vals) >= 25 and max(vals) <= 50
 
     def test_deterministic(self):
         budget = BackhaulBudget(50, (0.5, 1.0))
-        assert budget.realize(np.random.default_rng(4)) == budget.realize(np.random.default_rng(4))
+        first, again = (budget.realize(np.random.default_rng(4), 3) for _ in range(2))
+        assert first.tolist() == again.tolist()
+
+    def test_one_call_equals_single_draws(self):
+        """``realize(rng, n)`` is ``n`` scalar draws in order, rounded half to even."""
+        for budget in (BackhaulBudget(50, (0.5, 1.0)), BackhaulBudget(7, (0.0, 3.0))):
+            lo, hi = budget.variability
+            for seed in range(20):
+                for n in (1, 3, 10, 37):
+                    one_call = budget.realize(np.random.default_rng(seed), n)
+                    rng = np.random.default_rng(seed)
+                    single = [
+                        int(round(budget.files_per_epoch * (lo + (hi - lo) * rng.random())))
+                        for _ in range(n)
+                    ]
+                    assert one_call.dtype == np.int64 and one_call.tolist() == single
+                    rng = np.random.default_rng(seed)
+                    assert [int(budget.realize(rng, 1)[0]) for _ in range(n)] == single
+        # exact halves round to even, as round() does
+        assert BackhaulBudget(1, (2.5, 2.5)).realize(np.random.default_rng(0), 2).tolist() == [2, 2]
+        assert BackhaulBudget(1, (3.5, 3.5)).realize(np.random.default_rng(0), 2).tolist() == [4, 4]
 
     def test_rejects_bad_range(self):
         with pytest.raises(ValueError):
@@ -73,10 +93,10 @@ class TestPlanPopularUpdate:
 
     def test_free_slots_filled_before_swaps(self):
         c = cache(capacity=3, split=1.0, n_popular=1)
-        n = plan_popular_update(c.n_popular, CAT, budget=2, partition_size=3)
-        assert n == 3  # both fetches land in free slots
+        n = plan_popular_update(c.n_popular, CAT, budget=np.array([2]), partition_size=3)
+        assert n.tolist() == [3]  # both fetches land in free slots
         c.apply_popular_update(n)
-        assert c.contains(1) and c.contains(2) and c.contains(3)
+        assert c.contains(0, 1) and c.contains(0, 2) and c.contains(0, 3)
         # full partition: more budget swaps nothing in or out
         assert plan_popular_update(n, CAT, budget=5, partition_size=3) == 3
 
@@ -113,39 +133,45 @@ class TestPlanPopularUpdate:
             assert plan_popular_update(n, CAT, budget=1000, partition_size=20) == 20
 
     def test_matches_swap_planner_epoch_after_epoch(self):
+        """One array call per epoch plans every station as the swap planner does."""
         rng = np.random.default_rng(23)
         small = build_catalog(40, 1.0)
+        n_stations = 4
         for _ in range(100):
             part = int(rng.integers(0, 60))
-            n, current = 0, set()
+            n = np.zeros(n_stations, dtype=np.int64)
+            current = [set() for _ in range(n_stations)]
             for _ in range(8):
-                budget = int(rng.integers(0, 12))
-                n = plan_popular_update(n, small, budget, part)
-                current = swap_planner(current, min(part, small.n_files), budget, part)
-                assert current == set(range(1, n + 1))
+                budgets = rng.integers(0, 12, size=n_stations)
+                n = plan_popular_update(n, small, budgets, part)
+                for i in range(n_stations):
+                    current[i] = swap_planner(current[i], min(part, small.n_files), int(budgets[i]), part)
+                    assert current[i] == set(range(1, int(n[i]) + 1))
 
 
 class TestPlanPrefetch:
     def test_sooner_arrival_wins_budget(self):
         """Requests come most urgent first, so the earlier pair wins the budget."""
-        caches = [cache() for _ in range(4)]
-        plan = plan_prefetch([(3, 202), (3, 101)], caches, budget_per_station=1)
+        plan = plan_prefetch([(3, 202), (3, 101)], cache(n_stations=4), budget_per_station=1)
         assert plan == [(3, 202)]
 
     def test_cached_content_skipped(self):
-        caches = [cache(n_popular=7)]
-        assert plan_prefetch([(0, 7)], caches, budget_per_station=5) == []
-        caches[0].prefetch_insert(9)
-        assert plan_prefetch([(0, 9)], caches, budget_per_station=5) == []
+        c = cache(n_popular=7)
+        assert plan_prefetch([(0, 7)], c, budget_per_station=5) == []
+        c.prefetch_insert((0, 9))
+        assert plan_prefetch([(0, 9)], c, budget_per_station=5) == []
+
+    def test_reads_the_destination_row(self):
+        c = cache(n_stations=2)
+        c.prefetch_insert((0, 9))
+        assert plan_prefetch([(0, 9), (1, 9)], c, budget_per_station=5) == [(1, 9)]
 
     def test_duplicate_predictions_coalesce(self):
-        caches = [cache()]
-        plan = plan_prefetch([(0, 5), (0, 5)], caches, budget_per_station=5)
+        plan = plan_prefetch([(0, 5), (0, 5)], cache(), budget_per_station=5)
         assert plan == [(0, 5)]
 
     def test_independent_budgets_per_station(self):
-        caches = [cache() for _ in range(2)]
-        plan = plan_prefetch([(0, 1), (0, 2), (1, 3)], caches, budget_per_station=1)
+        plan = plan_prefetch([(0, 1), (0, 2), (1, 3)], cache(n_stations=2), budget_per_station=1)
         assert plan == [(0, 1), (1, 3)]
 
 

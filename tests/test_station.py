@@ -6,9 +6,9 @@ import pytest
 from scsim.station import CacheStore, PowerModel
 
 
-def row():
-    """A fresh membership row for content ids 0..49."""
-    return np.zeros(50, dtype=bool)
+def block(n_stations=1):
+    """A fresh membership block for content ids 0..49 at each station."""
+    return np.zeros((n_stations, 50), dtype=bool)
 
 
 class TestPowerModel:
@@ -29,107 +29,163 @@ class TestPowerModel:
             with pytest.raises(ValueError, match="finite"):
                 PowerModel(rate_per_user_mbps=rate)
 
+    def test_rejects_free_users(self):
+        """Quotas divide by ``p_per_user``, so a normalised model needs it > 0."""
+        with pytest.raises(ValueError, match="p_per_user"):
+            PowerModel(p_const=1.0, p_per_user=0.0, p_sleep=0.01)
+
 
 class TestCacheStore:
     def test_split_partition_sizes(self):
-        c = CacheStore(100, 0.8, mask=row())
+        c = CacheStore(100, 0.8, mask=block())
         assert c.popular_capacity == 80 and c.prefetch_capacity == 20
-        c = CacheStore(31, 0.8, mask=row())
+        c = CacheStore(31, 0.8, mask=block())
         assert c.popular_capacity == 25 and c.prefetch_capacity == 6
-        c = CacheStore(10, 1.0, mask=row())
+        c = CacheStore(10, 1.0, mask=block())
         assert c.popular_capacity == 10 and c.prefetch_capacity == 0
 
     def test_zero_capacity_caches_nothing(self):
-        c = CacheStore(0, 0.8, mask=row())
-        assert c.prefetch_insert(5) is None
-        assert not c.contains(5)
+        c = CacheStore(0, 0.8, mask=block())
+        assert c.prefetch_insert((0, 5)) is None
+        assert not c.contains(0, 5)
 
     def test_membership_is_union_of_partitions(self):
-        c = CacheStore(10, 0.5, mask=row())
-        c.apply_popular_update(2)
-        c.prefetch_insert(7)
-        assert c.contains(1) and c.contains(2) and c.contains(7)
-        assert not c.contains(3)
+        c = CacheStore(10, 0.5, mask=block())
+        c.apply_popular_update([2])
+        c.prefetch_insert((0, 7))
+        assert c.contains(0, 1) and c.contains(0, 2) and c.contains(0, 7)
+        assert not c.contains(0, 3)
 
     def test_fifo_eviction_order(self):
-        c = CacheStore(5, 0.5, mask=row())  # prefetch capacity 2
-        assert c.prefetch_insert(11) is None
-        assert c.prefetch_insert(12) is None
-        assert c.prefetch_insert(13) == 11
-        assert c.prefetch_insert(14) == 12
-        assert c.prefetch == [13, 14]
+        c = CacheStore(5, 0.5, mask=block())  # prefetch capacity 2
+        assert c.prefetch_insert((0, 11)) is None
+        assert c.prefetch_insert((0, 12)) is None
+        assert c.prefetch_insert((0, 13)) == 11
+        assert c.prefetch_insert((0, 14)) == 12
+        assert c.prefetch(0) == [13, 14]
 
     def test_duplicate_prefetch_is_noop(self):
-        c = CacheStore(5, 0.5, mask=row())
-        c.prefetch_insert(11)
-        assert c.prefetch_insert(11) is None
-        c.apply_popular_update(1)
-        assert c.prefetch_insert(1) is None  # held by the popular partition
-        assert c.prefetch == [11]
+        c = CacheStore(5, 0.5, mask=block())
+        c.prefetch_insert((0, 11))
+        assert c.prefetch_insert((0, 11)) is None
+        c.apply_popular_update([1])
+        assert c.prefetch_insert((0, 1)) is None  # held by the popular partition
+        assert c.prefetch(0) == [11]
 
     def test_mask_written_through(self):
-        mask = row()
+        mask = block()
         c = CacheStore(4, 0.5, mask=mask)
-        c.apply_popular_update(1)
-        c.prefetch_insert(9)
-        assert mask[1] and mask[9] and not mask[2]
-        c.prefetch_insert(10)
-        c.prefetch_insert(11)  # evicts 9
-        assert not mask[9] and mask[10] and mask[11]
-        c.apply_popular_update(2)
-        assert mask[1] and mask[2]
+        c.apply_popular_update([1])
+        c.prefetch_insert((0, 9))
+        assert mask[0, 1] and mask[0, 9] and not mask[0, 2]
+        c.prefetch_insert((0, 10))
+        c.prefetch_insert((0, 11))  # evicts 9
+        assert not mask[0, 9] and mask[0, 10] and mask[0, 11]
+        c.apply_popular_update([2])
+        assert mask[0, 1] and mask[0, 2]
 
     def test_mask_keeps_id_cached_in_both_partitions(self):
-        mask = row()
+        mask = block()
         c = CacheStore(9, 0.8, mask=mask)  # 8 popular slots, 1 prefetch slot
-        c.prefetch_insert(7)
-        c.apply_popular_update(8)  # the popular partition grows over 7
-        assert c.prefetch_insert(20) == 7
-        assert mask[7] and c.contains(7)
-        assert mask[20] and not mask[9]
+        c.prefetch_insert((0, 7))
+        c.apply_popular_update([8])  # the popular partition grows over 7
+        assert c.prefetch_insert((0, 20)) == 7
+        assert mask[0, 7] and c.contains(0, 7)
+        assert mask[0, 20] and not mask[0, 9]
 
     def test_popular_overfull_rejected(self):
-        c = CacheStore(4, 0.5, mask=row())  # 2 popular slots
+        c = CacheStore(4, 0.5, mask=block())  # 2 popular slots
         with pytest.raises(ValueError):
-            c.apply_popular_update(3)
-        c.apply_popular_update(2)
+            c.apply_popular_update([3])
+        c.apply_popular_update([2])
         with pytest.raises(ValueError):
-            c.apply_popular_update(1)
-        assert c.n_popular == 2
-        c = CacheStore(100, 1.0, mask=row())  # the row holds ids 1..49
+            c.apply_popular_update([1])
+        assert c.n_popular == [2]
+        c = CacheStore(100, 1.0, mask=block())  # the row holds ids 1..49
         with pytest.raises(ValueError):
-            c.apply_popular_update(50)
-        c.apply_popular_update(49)
+            c.apply_popular_update([50])
+        c.apply_popular_update([49])
         assert int(c.mask.sum()) == 49
 
+    def test_one_call_grows_every_station(self):
+        mask = block(3)
+        c = CacheStore(10, 0.5, mask=mask)  # 5 popular slots
+        c.apply_popular_update(np.array([1, 3, 0]))
+        assert c.n_popular == [1, 3, 0]
+        assert [np.flatnonzero(r).tolist() for r in mask] == [[1], [1, 2, 3], []]
+        c.apply_popular_update(np.array([4, 3, 5]))
+        assert [np.flatnonzero(r).tolist() for r in mask] == [[1, 2, 3, 4], [1, 2, 3], [1, 2, 3, 4, 5]]
+
+    def test_rejected_update_changes_no_station(self):
+        """One station's shrink or overgrowth rejects the whole call."""
+        mask = block(3)
+        c = CacheStore(10, 0.5, mask=mask)  # 5 popular slots
+        c.apply_popular_update(np.array([2, 2, 2]))
+        for bad in ([3, 1, 3], [3, 6, 3]):
+            with pytest.raises(ValueError):
+                c.apply_popular_update(np.array(bad))
+            assert c.n_popular == [2, 2, 2]
+            assert int(mask.sum()) == 6
+
+    def test_rows_are_independent(self):
+        """Inserts and evictions at one station leave every other row as it was."""
+        mask = block(3)
+        c = CacheStore(5, 0.4, mask=mask)  # 2 popular slots, 3 prefetch slots
+        c.apply_popular_update(np.array([2, 0, 1]))
+        c.prefetch_insert((0, 30))
+        c.prefetch_insert((2, 31))
+        others = mask[[0, 2]].copy()
+        for content in (10, 11, 12, 13, 14):
+            c.prefetch_insert((1, content))
+        assert c.prefetch(1) == [12, 13, 14]
+        np.testing.assert_array_equal(mask[[0, 2]], others)
+        assert c.prefetch(0) == [30] and c.prefetch(2) == [31]
+        assert np.flatnonzero(mask[1]).tolist() == [12, 13, 14]
+
+    def test_eviction_guard_reads_own_station_count(self):
+        """An evicted id stays cached only where that station's popular prefix covers it."""
+        mask = block(2)
+        c = CacheStore(9, 0.8, mask=mask)  # 8 popular slots, 1 prefetch slot
+        c.prefetch_insert((0, 7))
+        c.prefetch_insert((1, 7))
+        c.apply_popular_update(np.array([8, 0]))
+        assert c.prefetch_insert((0, 20)) == 7
+        assert c.prefetch_insert((1, 20)) == 7
+        assert mask[0, 7] and not mask[1, 7]
+        assert mask[0, 20] and mask[1, 20]
+
     def test_random_operations_keep_invariants(self):
-        """Random grows and inserts against a plain list-and-count model."""
+        """Random grows and inserts on a 3-station bank against per-station list-and-count models."""
         rng = np.random.default_rng(11)
-        n_files = 30
+        n_files, n_stations = 30, 3
         for _ in range(200):
             c = CacheStore(int(rng.integers(0, 25)), float(rng.random()),
-                           mask=np.zeros(n_files + 1, dtype=bool))
+                           mask=np.zeros((n_stations, n_files + 1), dtype=bool))
             limit = min(c.popular_capacity, n_files)
-            n_popular, fifo = 0, []
-            for _ in range(40):
+            n_popular, fifos = [0] * n_stations, [[] for _ in range(n_stations)]
+            for _ in range(60):
                 if rng.random() < 0.2:
-                    n_popular = int(rng.integers(n_popular, limit + 1))
-                    c.apply_popular_update(n_popular)
+                    n_popular = [int(rng.integers(n, limit + 1)) for n in n_popular]
+                    c.apply_popular_update(np.array(n_popular))
                 else:
+                    station = int(rng.integers(n_stations))
                     content = int(rng.integers(1, n_files + 1))
+                    fifo = fifos[station]
                     expected = None
-                    if c.prefetch_capacity and content > n_popular and content not in fifo:
+                    if c.prefetch_capacity and content > n_popular[station] and content not in fifo:
                         if len(fifo) == c.prefetch_capacity:
                             expected = fifo.pop(0)
                         fifo.append(content)
-                    assert c.prefetch_insert(content) == expected
-                assert c.n_popular == n_popular and c.prefetch == fifo
-                assert len(set(fifo)) == len(fifo) <= c.prefetch_capacity
-                held = set(np.flatnonzero(c.mask).tolist())
-                assert held == set(range(1, n_popular + 1)) | set(fifo)
+                    assert c.prefetch_insert((station, content)) == expected
+                assert c.n_popular == n_popular
+                for station, fifo in enumerate(fifos):
+                    assert c.prefetch(station) == fifo
+                    assert len(set(fifo)) == len(fifo) <= c.prefetch_capacity
+                    held = set(np.flatnonzero(c.mask[station]).tolist())
+                    assert held == set(range(1, n_popular[station] + 1)) | set(fifo)
 
     def test_rejects_bad_parameters(self):
         with pytest.raises(ValueError):
-            CacheStore(-1, mask=row())
+            CacheStore(-1, mask=block())
         with pytest.raises(ValueError):
-            CacheStore(10, split_ratio=1.5, mask=row())
+            CacheStore(10, split_ratio=1.5, mask=block())
