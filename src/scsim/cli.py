@@ -157,12 +157,18 @@ def _compare_outputs(settings: RunSettings, comparisons: list[EnergyComparison])
     )
 
 
-# subcommand -> (its function of one seed's scenario, given the settings;
-# its outputs, given the settings and every seed's result in seed order)
+# subcommand -> (its help; its function of one seed's scenario, given the
+# settings; its outputs, given the settings and every seed's result in seed order)
 HANDLERS = {
-    "run": (lambda settings: run, _run_outputs),
-    "sweep-cache": (lambda settings: partial(sweep_cache, cache_sizes=list(settings.cache_sizes)), _sweep_outputs),
-    "compare-energy": (lambda settings: compare_energy, _compare_outputs),
+    "run": ("simulate one scenario and emit daily metrics", lambda settings: run, _run_outputs),
+    "sweep-cache": (
+        "simulate the scenario across cache sizes",
+        lambda settings: partial(sweep_cache, cache_sizes=list(settings.cache_sizes)),
+        _sweep_outputs,
+    ),
+    "compare-energy": (
+        "run sustainable and greedy policies side by side", lambda settings: compare_energy, _compare_outputs
+    ),
 }
 
 
@@ -181,12 +187,7 @@ def _build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    specs = (
-        ("run", "simulate one scenario and emit daily metrics"),
-        ("sweep-cache", "simulate the scenario across cache sizes"),
-        ("compare-energy", "run sustainable and greedy policies side by side"),
-    )
-    for name, help_text in specs:
+    for name, (help_text, _, _) in HANDLERS.items():
         s = sub.add_parser(name, help=help_text)
         s.add_argument("--config", type=Path, default=None,
                        help="scenario config file (defaults apply when omitted)")
@@ -216,7 +217,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 
-    per_seed, outputs = HANDLERS[args.command]
+    _, per_seed, outputs = HANDLERS[args.command]
     base = settings.scenario
     written: list[Path] = []
     try:

@@ -1,20 +1,20 @@
 """Line-oriented scenario configuration.
 
 The format is deliberately small: ``[section]`` headers, ``key = value``
-pairs, ``#`` comments. Every key has a default drawn from the reference
-scenario, unknown keys are hard errors (typos should not silently run a
-different experiment), and malformed values report their line number.
+pairs, ``#`` comments. Each key names the ``RunSettings`` field it sets;
+its default is that field in the reference settings and its parser
+follows the field's annotation. Unknown keys are hard errors (typos
+should not silently run a different experiment), and malformed values
+report their line number.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cache, reduce
+from typing import Callable, get_args, get_origin, get_type_hints
 
-from .energy import EnergyProfile
 from .engine import Scenario
-from .mobility import Highway, TrafficProfile
-from .policy import BackhaulBudget
-from .station import PowerModel
 
 __all__ = [
     "ConfigError",
@@ -38,6 +38,12 @@ class RunSettings:
     scenario: Scenario
     cache_sizes: tuple[int, ...]
     workers: int
+
+    def __post_init__(self) -> None:
+        if self.workers < 1:
+            raise ValueError("engine.workers must be >= 1")
+        if any(c < 0 for c in self.cache_sizes):
+            raise ValueError("engine.cache_sizes entries must be >= 0")
 
 
 def _parse_int(raw: str) -> int:
@@ -66,10 +72,6 @@ def _parse_bool(raw: str) -> bool:
     raise ValueError("expected a boolean (true/false)")
 
 
-def _parse_str(raw: str) -> str:
-    return raw
-
-
 def _parse_int_list(raw: str) -> tuple[int, ...]:
     parts = [p.strip() for p in raw.split(",")]
     if not any(parts):
@@ -82,78 +84,104 @@ def _parse_int_list(raw: str) -> tuple[int, ...]:
     return tuple(out)
 
 
-# The reference scenario; every scenario key defaults to its value there.
-_REF = Scenario()
+# Each field's parser, by its annotation.
+_PARSE = {int: _parse_int, float: _parse_float, bool: _parse_bool, str: str, tuple[int, ...]: _parse_int_list}
 
-# section -> key -> (parser, default, documentation)
+# The reference settings; every key defaults to its field's value there.
+_REF = RunSettings(Scenario(), DEFAULT_CACHE_SIZES, 1)
+
+# section -> key -> (the RunSettings field it sets, as a dotted path with
+# tuple slots by index; documentation)
 SCHEMA = {
     "highway": {
-        "n_stations": (_parse_int, _REF.highway.n_stations, "number of stations on the ring"),
-        "coverage_radius_m": (_parse_float, _REF.highway.cell_length / 2,
-                              "station coverage radius; cell length is twice this"),
+        "n_stations": ("scenario.highway.n_stations", "number of stations on the ring"),
+        "coverage_radius_m": ("scenario.highway.cell_length", "station coverage radius; cell length is twice this"),
     },
     "catalog": {
-        "n_files": (_parse_int, _REF.n_files, "content catalog size"),
-        "gamma": (_parse_float, _REF.gamma, "Zipf popularity exponent"),
+        "n_files": ("scenario.n_files", "content catalog size"),
+        "gamma": ("scenario.gamma", "Zipf popularity exponent"),
     },
     "traffic": {
-        "base_density": (_parse_float, _REF.traffic.base_density, "rush-hour vehicles per meter per direction"),
-        "speed_mps": (_parse_float, _REF.speed, "constant vehicle speed"),
-        "daily_profile": (_parse_bool, _REF.traffic.enabled, "apply the two-peak daily demand profile"),
-        "peak_hour_morning": (_parse_float, _REF.traffic.peak_hours[0], "first rush peak, hour of day"),
-        "peak_hour_evening": (_parse_float, _REF.traffic.peak_hours[1], "second rush peak, hour of day"),
-        "peak_width_h": (_parse_float, _REF.traffic.peak_width_h, "rush peak width in hours"),
-        "floor_fraction": (_parse_float, _REF.traffic.floor_fraction, "overnight demand floor relative to peak"),
+        "base_density": ("scenario.traffic.base_density", "rush-hour vehicles per meter per direction"),
+        "speed_mps": ("scenario.speed", "constant vehicle speed"),
+        "daily_profile": ("scenario.traffic.enabled", "apply the two-peak daily demand profile"),
+        "peak_hour_morning": ("scenario.traffic.peak_hours.0", "first rush peak, hour of day"),
+        "peak_hour_evening": ("scenario.traffic.peak_hours.1", "second rush peak, hour of day"),
+        "peak_width_h": ("scenario.traffic.peak_width_h", "rush peak width in hours"),
+        "floor_fraction": ("scenario.traffic.floor_fraction", "overnight demand floor relative to peak"),
     },
     "energy": {
-        "kind": (_parse_str, _REF.energy.kind, "harvest profile: solar-sine, constant, or zero"),
-        "peak_rate": (_parse_float, _REF.energy.peak_rate, "peak harvest rate in station power units"),
-        "sunrise_h": (_parse_float, _REF.energy.sunrise_h, "solar-sine rise hour"),
-        "sunset_h": (_parse_float, _REF.energy.sunset_h, "solar-sine set hour"),
-        "battery_capacity": (_parse_float, _REF.battery_capacity, "storage capacity in power-unit-seconds (inf allowed)"),
+        "kind": ("scenario.energy.kind", "harvest profile: solar-sine, constant, or zero"),
+        "peak_rate": ("scenario.energy.peak_rate", "peak harvest rate in station power units"),
+        "sunrise_h": ("scenario.energy.sunrise_h", "solar-sine rise hour"),
+        "sunset_h": ("scenario.energy.sunset_h", "solar-sine set hour"),
+        "battery_capacity": ("scenario.battery_capacity", "storage capacity in power-unit-seconds (inf allowed)"),
     },
     "station": {
-        "cache_capacity": (_parse_int, _REF.cache_capacity, "cache slots per station"),
-        "split_ratio": (_parse_float, _REF.split_ratio, "fraction of slots for the popular partition"),
-        "p_const": (_parse_float, _REF.power.p_const, "constant power draw while active"),
-        "p_per_user": (_parse_float, _REF.power.p_per_user, "incremental power per served user"),
-        "p_sleep": (_parse_float, _REF.power.p_sleep, "power draw while asleep"),
-        "max_users": (_parse_int, _REF.power.max_users, "radio cap on concurrently served users"),
-        "rate_per_user_mbps": (_parse_float, _REF.power.rate_per_user_mbps, "per-user service rate"),
+        "cache_capacity": ("scenario.cache_capacity", "cache slots per station"),
+        "split_ratio": ("scenario.split_ratio", "fraction of slots for the popular partition"),
+        "p_const": ("scenario.power.p_const", "constant power draw while active"),
+        "p_per_user": ("scenario.power.p_per_user", "incremental power per served user"),
+        "p_sleep": ("scenario.power.p_sleep", "power draw while asleep"),
+        "max_users": ("scenario.power.max_users", "radio cap on concurrently served users"),
+        "rate_per_user_mbps": ("scenario.power.rate_per_user_mbps", "per-user service rate"),
     },
     "policy": {
-        "name": (_parse_str, _REF.policy, "controller: sustainable or greedy"),
-        "backhaul_files_per_epoch": (_parse_int, _REF.backhaul.files_per_epoch, "nominal popular-cache updates per epoch"),
-        "backhaul_variability_min": (_parse_float, _REF.backhaul.variability[0], "lower budget factor per epoch"),
-        "backhaul_variability_max": (_parse_float, _REF.backhaul.variability[1], "upper budget factor per epoch"),
-        "prefetch_budget": (_parse_int, _REF.prefetch_budget, "prefetch fetches per station per step"),
-        "low_watermark": (_parse_float, _REF.low_watermark,
+        "name": ("scenario.policy", "controller: sustainable or greedy"),
+        "backhaul_files_per_epoch": ("scenario.backhaul.files_per_epoch", "nominal popular-cache updates per epoch"),
+        "backhaul_variability_min": ("scenario.backhaul.variability.0", "lower budget factor per epoch"),
+        "backhaul_variability_max": ("scenario.backhaul.variability.1", "upper budget factor per epoch"),
+        "prefetch_budget": ("scenario.prefetch_budget", "prefetch fetches per station per step"),
+        "low_watermark": ("scenario.low_watermark",
                           "battery level; active station-steps that start below it count as defers"),
-        "high_watermark": (_parse_float, _REF.high_watermark,
+        "high_watermark": ("scenario.high_watermark",
                            "battery level; active station-steps that start above it count as pushes"),
-        "greedy_partial": (_parse_bool, _REF.greedy_partial, "let the greedy baseline degrade gracefully"),
+        "greedy_partial": ("scenario.greedy_partial", "let the greedy baseline degrade gracefully"),
     },
     "engine": {
-        "delta_large": (_parse_int, _REF.epoch_seconds, "planning epoch in seconds"),
-        "delta_small": (_parse_int, _REF.step_seconds, "service step in seconds"),
-        "duration": (_parse_int, _REF.duration, "run length in seconds"),
-        "seed": (_parse_int, _REF.seed, "random seed"),
+        "delta_large": ("scenario.epoch_seconds", "planning epoch in seconds"),
+        "delta_small": ("scenario.step_seconds", "service step in seconds"),
+        "duration": ("scenario.duration", "run length in seconds"),
+        "seed": ("scenario.seed", "random seed"),
         # batch knobs, not scenario fields
-        "workers": (_parse_int, 1, "parallel processes over the seeds of --seeds"),
-        "cache_sizes": (_parse_int_list, DEFAULT_CACHE_SIZES, "sizes visited by sweep-cache"),
+        "workers": ("workers", "parallel processes over the seeds of --seeds"),
+        "cache_sizes": ("cache_sizes", "sizes visited by sweep-cache"),
     },
 }
+
+# path -> how many times the key's value the field holds
+_SCALE = {"scenario.highway.cell_length": 2.0}
+
+
+def _part(obj, name: str):
+    """The attribute, or for a tuple the slot, ``name`` of ``obj``."""
+    return obj[int(name)] if isinstance(obj, tuple) else getattr(obj, name)
+
+
+# annotations are resolved once per class and parsers once per path
+_hints = cache(get_type_hints)
+
+
+@cache
+def _parser(path: str) -> Callable[[str], object]:
+    """The parser of the field at ``path``, by its annotation."""
+    hint = RunSettings
+    for name in path.split("."):
+        hint = get_args(hint)[int(name)] if get_origin(hint) is tuple else _hints(hint)[name]
+    return _PARSE[hint]
+
+
+# path -> its field's value in the reference settings, in SCHEMA order
+_REF_FIELDS = {path: reduce(_part, path.split("."), _REF) for keys in SCHEMA.values() for path, _ in keys.values()}
 
 
 def describe_schema() -> str:
     """One line per key: section.key, default, and meaning."""
     lines = []
     for section, keys in SCHEMA.items():
-        for key, (_, default, doc) in keys.items():
-            if isinstance(default, tuple):
-                shown = ",".join(str(v) for v in default)
-            else:
-                shown = str(default)
+        for key, (path, doc) in keys.items():
+            default = _REF_FIELDS[path] / _SCALE[path] if path in _SCALE else _REF_FIELDS[path]
+            shown = ",".join(map(str, default)) if isinstance(default, tuple) else str(default)
             lines.append(f"{section}.{key} = {shown}  # {doc}")
     return "\n".join(lines)
 
@@ -165,21 +193,23 @@ def _section_keys(where: str, section: str) -> dict:
     return SCHEMA[section]
 
 
-def _parse_value(where: str, section: str, key: str, raw_value: str) -> object:
-    """Parse one ``section.key`` value; ``where`` names its source in errors."""
+def _set_value(values: dict[str, object], where: str, section: str, key: str, raw_value: str) -> None:
+    """Parse one ``section.key`` value into ``values`` at its field's path; ``where`` names its source in errors."""
     keys = _section_keys(where, section)
     if key not in keys:
         raise ConfigError(f"{where}: unknown key {key!r} in section [{section}]")
+    path = keys[key][0]
     try:
-        return keys[key][0](raw_value)
+        value = _parser(path)(raw_value)
     except ValueError as exc:
         raise ConfigError(
             f"{where}: bad value for {section}.{key}: {raw_value!r} ({exc})"
         ) from None
+    values[path] = value * _SCALE[path] if path in _SCALE else value
 
 
-def _parse_lines(text: str) -> dict[tuple[str, str], object]:
-    values: dict[tuple[str, str], object] = {}
+def _parse_lines(text: str) -> dict[str, object]:
+    values: dict[str, object] = {}
     section = None
     for lineno, raw_line in enumerate(text.splitlines(), start=1):
         where = f"line {lineno}"
@@ -195,14 +225,11 @@ def _parse_lines(text: str) -> dict[tuple[str, str], object]:
         if section is None:
             raise ConfigError(f"{where}: key outside any [section]")
         key, _, raw_value = line.partition("=")
-        key = key.strip()
-        values[(section, key)] = _parse_value(where, section, key, raw_value.strip())
+        _set_value(values, where, section, key.strip(), raw_value.strip())
     return values
 
 
-def _apply_overrides(
-    values: dict[tuple[str, str], object], overrides: tuple[str, ...]
-) -> None:
+def _apply_overrides(values: dict[str, object], overrides: tuple[str, ...]) -> None:
     for spec in overrides:
         where = f"override {spec!r}"
         head, eq, raw_value = spec.partition("=")
@@ -210,7 +237,19 @@ def _apply_overrides(
         key = key.strip()
         if not eq or not dot or not section or not key:
             raise ConfigError(f"{where}: expected section.key=value")
-        values[(section, key)] = _parse_value(where, section, key, raw_value.strip())
+        _set_value(values, where, section, key, raw_value.strip())
+
+
+def _with(obj, values: dict[str, object]):
+    """``obj`` with the field at each dotted path in ``values`` set, one ``replace`` per object."""
+    groups: dict[str, dict[str, object]] = {}
+    for path, value in values.items():
+        head, _, rest = path.partition(".")
+        groups.setdefault(head, {})[rest] = value
+    new = {head: sub[""] if "" in sub else _with(_part(obj, head), sub) for head, sub in groups.items()}
+    if isinstance(obj, tuple):
+        return tuple(new.get(str(i), v) for i, v in enumerate(obj))
+    return replace(obj, **new)
 
 
 def parse_settings(text: str, overrides: tuple[str, ...] = ()) -> RunSettings:
@@ -219,76 +258,11 @@ def parse_settings(text: str, overrides: tuple[str, ...] = ()) -> RunSettings:
     Overrides use ``section.key=value`` and take precedence over file
     values, which take precedence over defaults.
     """
-    values = _parse_lines(text)
+    # every field, in SCHEMA order: each object is rebuilt and checked in
+    # the same order whatever order the file and overrides give
+    values = {**_REF_FIELDS, **_parse_lines(text)}
     _apply_overrides(values, tuple(overrides))
-
-    def get(section: str, key: str):
-        return values.get((section, key), SCHEMA[section][key][1])
-
     try:
-        highway = Highway(
-            n_stations=get("highway", "n_stations"),
-            cell_length=2.0 * get("highway", "coverage_radius_m"),
-        )
-        traffic = TrafficProfile(
-            base_density=get("traffic", "base_density"),
-            enabled=get("traffic", "daily_profile"),
-            peak_hours=(
-                get("traffic", "peak_hour_morning"),
-                get("traffic", "peak_hour_evening"),
-            ),
-            peak_width_h=get("traffic", "peak_width_h"),
-            floor_fraction=get("traffic", "floor_fraction"),
-        )
-        energy = EnergyProfile(
-            kind=get("energy", "kind"),
-            peak_rate=get("energy", "peak_rate"),
-            sunrise_h=get("energy", "sunrise_h"),
-            sunset_h=get("energy", "sunset_h"),
-        )
-        power = PowerModel(
-            p_const=get("station", "p_const"),
-            p_per_user=get("station", "p_per_user"),
-            p_sleep=get("station", "p_sleep"),
-            max_users=get("station", "max_users"),
-            rate_per_user_mbps=get("station", "rate_per_user_mbps"),
-        )
-        backhaul = BackhaulBudget(
-            files_per_epoch=get("policy", "backhaul_files_per_epoch"),
-            variability=(
-                get("policy", "backhaul_variability_min"),
-                get("policy", "backhaul_variability_max"),
-            ),
-        )
-        scenario = Scenario(
-            highway=highway,
-            n_files=get("catalog", "n_files"),
-            gamma=get("catalog", "gamma"),
-            traffic=traffic,
-            speed=get("traffic", "speed_mps"),
-            energy=energy,
-            battery_capacity=get("energy", "battery_capacity"),
-            power=power,
-            cache_capacity=get("station", "cache_capacity"),
-            split_ratio=get("station", "split_ratio"),
-            backhaul=backhaul,
-            prefetch_budget=get("policy", "prefetch_budget"),
-            low_watermark=get("policy", "low_watermark"),
-            high_watermark=get("policy", "high_watermark"),
-            greedy_partial=get("policy", "greedy_partial"),
-            policy=get("policy", "name"),
-            epoch_seconds=get("engine", "delta_large"),
-            step_seconds=get("engine", "delta_small"),
-            duration=get("engine", "duration"),
-            seed=get("engine", "seed"),
-        )
+        return _with(_REF, values)
     except ValueError as exc:
         raise ConfigError(str(exc)) from None
-
-    workers = get("engine", "workers")
-    if workers < 1:
-        raise ConfigError("engine.workers must be >= 1")
-    cache_sizes = tuple(get("engine", "cache_sizes"))
-    if any(c < 0 for c in cache_sizes):
-        raise ConfigError("engine.cache_sizes entries must be >= 0")
-    return RunSettings(scenario=scenario, cache_sizes=cache_sizes, workers=workers)

@@ -1,5 +1,10 @@
 """Config parsing: defaults, precedence, and error reporting."""
+import dataclasses
 import math
+from collections import Counter
+from functools import reduce
+from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import pytest
 
@@ -7,10 +12,13 @@ from scsim.config import (
     DEFAULT_CACHE_SIZES,
     SCHEMA,
     ConfigError,
+    RunSettings,
     describe_schema,
     parse_settings,
 )
 from scsim.engine import Scenario
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def test_empty_text_yields_reference_defaults():
@@ -256,3 +264,60 @@ def test_described_defaults_parse_back_to_the_defaults():
     overrides = tuple(line.split("#", 1)[0] for line in describe_schema().splitlines())
     assert len(overrides) == sum(len(keys) for keys in SCHEMA.values())
     assert parse_settings("", overrides) == parse_settings("")
+
+
+def _leaves(hint, prefix=()):
+    """Dotted path of every leaf under ``hint``: each dataclass field and fixed tuple slot."""
+    if dataclasses.is_dataclass(hint):
+        hints = get_type_hints(hint)
+        for f in dataclasses.fields(hint):
+            yield from _leaves(hints[f.name], prefix + (f.name,))
+    elif get_origin(hint) is tuple and ... not in get_args(hint):
+        for i, arg in enumerate(get_args(hint)):
+            yield from _leaves(arg, prefix + (str(i),))
+    else:
+        yield ".".join(prefix)
+
+
+def _at(obj, path):
+    return reduce(lambda o, name: o[int(name)] if isinstance(o, tuple) else getattr(o, name), path.split("."), obj)
+
+
+def _keys():
+    return [(f"{section}.{key}", path) for section, keys in SCHEMA.items() for key, (path, _) in keys.items()]
+
+
+def test_every_field_is_the_path_of_exactly_one_key():
+    paths = Counter(path for _, path in _keys())
+    assert paths == Counter(_leaves(RunSettings))
+    assert len(paths) == 37
+
+
+def test_every_key_path_resolves():
+    reference = RunSettings(Scenario(), DEFAULT_CACHE_SIZES, 1)
+    for _, path in _keys():
+        _at(reference, path)  # raises if a name or slot is missing
+
+
+def test_parsed_defaults_keep_their_field_types():
+    # "10.0" must not stand in for 10, nor 1 for True
+    reference = RunSettings(Scenario(), DEFAULT_CACHE_SIZES, 1)
+    for line, (name, path) in zip(describe_schema().splitlines(), _keys()):
+        assert line.startswith(f"{name} = ")
+        parsed = parse_settings("", (line.split("#", 1)[0],))
+        assert type(_at(parsed, path)) is type(_at(reference, path)), name
+        if isinstance(_at(reference, path), tuple):
+            assert [type(v) for v in _at(parsed, path)] == [type(v) for v in _at(reference, path)], name
+
+
+def test_readme_key_reference_matches_describe_schema():
+    text = README.read_text(encoding="utf-8")
+    block = text.split("Full key reference with defaults", 1)[1].split("```\n", 2)[1]
+    assert block.splitlines() == describe_schema().splitlines()
+
+
+def test_run_settings_reject_bad_batch_knobs_directly():
+    with pytest.raises(ValueError, match="engine.workers must be >= 1"):
+        RunSettings(Scenario(), DEFAULT_CACHE_SIZES, 0)
+    with pytest.raises(ValueError, match="engine.cache_sizes entries must be >= 0"):
+        RunSettings(Scenario(), (0, -1, 5), 1)
