@@ -15,9 +15,9 @@ from .energy import Battery, EnergyProfile, battery_step, harvest_rates, ledger_
 from .engine import (
     EnergyComparison,
     EpochMetrics,
+    EpochRecord,
     MetricsReport,
     Scenario,
-    StepRecord,
     SweepPoint,
     compare_energy,
     expected_offload,
@@ -71,7 +71,7 @@ __all__ = [
     "Scenario",
     "EpochMetrics",
     "MetricsReport",
-    "StepRecord",
+    "EpochRecord",
     "SweepPoint",
     "EnergyComparison",
     "run",

@@ -61,7 +61,7 @@ __all__ = [
     "Scenario",
     "EpochMetrics",
     "MetricsReport",
-    "StepRecord",
+    "EpochRecord",
     "SweepPoint",
     "EnergyComparison",
     "run",
@@ -158,11 +158,17 @@ class EpochMetrics:
 
 
 @dataclass(frozen=True)
-class StepRecord:
-    """Per-step trace row passed to an observer hook (testing aid)."""
+class EpochRecord:
+    """One served epoch, passed to an observer hook (testing aid).
 
-    t: int
-    offered: int
+    ``hits`` and ``served`` are ``(n_sub, n_stations)``: row ``s`` is the
+    step that ends at ``t0 + (s + 1) * step_seconds``. ``quotas`` and
+    ``active`` are the epoch plan; ``n_vehicles`` are on the road at
+    every step.
+    """
+
+    t0: int
+    n_vehicles: int
     hits: np.ndarray
     served: np.ndarray
     quotas: np.ndarray
@@ -304,12 +310,11 @@ def _step_total(rows: np.ndarray) -> float:
     """Sum a ``(steps, stations)`` block row by row, then step after step.
 
     These are the additions, in the same order, of summing a per-station
-    array at every step, so the result matches that loop bit for bit.
+    array at every step, so the result matches that loop bit for bit:
+    ``add.accumulate`` adds strictly left to right, where ``sum`` would
+    add pairwise.
     """
-    total = 0.0
-    for row_sum in rows.sum(axis=1).tolist():
-        total += row_sum
-    return total
+    return float(np.add.accumulate(np.concatenate(([0.0], rows.sum(axis=1))))[-1])
 
 
 def _check_ledger(bank: Battery, steps: int) -> None:
@@ -342,9 +347,9 @@ class _EnergyPass:
     the greedy one always asks for full power.
     """
 
-    def __init__(self, sc: Scenario, step_hook: Callable[[StepRecord], None] | None = None):
+    def __init__(self, sc: Scenario, epoch_hook: Callable[[EpochRecord], None] | None = None):
         self.sc = sc
-        self.step_hook = step_hook
+        self.epoch_hook = epoch_hook
         self.n_stations = sc.highway.n_stations
         self.n_sub = sc.epoch_seconds // sc.step_seconds
         self.dt = float(sc.step_seconds)
@@ -380,19 +385,6 @@ class _EnergyPass:
             served = greedy_small_step(pm, hits, delivered, sc.greedy_partial)
             pushes = defers = 0
         _check_ledger(self.bank, (len(self.epochs) + 1) * self.n_sub)
-        if self.step_hook is not None:
-            for s in range(self.n_sub):
-                self.step_hook(
-                    StepRecord(
-                        t=t0 + (s + 1) * sc.step_seconds,
-                        offered=demand.n_vehicles,
-                        hits=hits[s].copy(),
-                        served=served[s].copy(),
-                        quotas=quotas.copy(),
-                        active=active.copy(),
-                    )
-                )
-
         scs = int(served.sum())
         n_hits = int(hits.sum())
         offered = demand.n_vehicles * self.n_sub
@@ -417,6 +409,9 @@ class _EnergyPass:
         self.hits += n_hits
         self.handovers += demand.handovers
         self.continuity += demand.continuity
+        if self.epoch_hook is not None:
+            # passes at one cache size share the demand's hits; the rest is this pass's own
+            self.epoch_hook(EpochRecord(t0, demand.n_vehicles, hits.copy(), served, quotas, active))
 
     def report(self) -> MetricsReport:
         """Whole-run totals: sums of the epoch rows, energy read off the bank."""
@@ -440,15 +435,15 @@ class _EnergyPass:
         )
 
 
-def run(scenario: Scenario, step_hook: Callable[[StepRecord], None] | None = None) -> MetricsReport:
+def run(scenario: Scenario, epoch_hook: Callable[[EpochRecord], None] | None = None) -> MetricsReport:
     """Simulate one scenario and return its metrics report.
 
     One demand pass feeds the energy pass of ``scenario.policy``.
-    ``step_hook``, when given, receives a :class:`StepRecord` after every
-    small step; it is meant for invariant checks and stays off the hot
-    path otherwise.
+    ``epoch_hook``, when given, receives one :class:`EpochRecord` per
+    epoch, after the epoch is settled and booked, so writing into the
+    record cannot change the report; it is meant for invariant checks.
     """
-    energy = _EnergyPass(scenario, step_hook)
+    energy = _EnergyPass(scenario, epoch_hook)
     _simulate(scenario, [energy])
     return energy.report()
 

@@ -186,7 +186,8 @@ def greedy_small_step(
     target = np.minimum(offered_hits, power.max_users)
     need = power.p_const + power.p_per_user * target
     if partial:
+        # below p_const the floor is at most 0, so room is already 0 there
         room = np.floor((delivered - power.p_const) / power.p_per_user + _FLOOR_EPS)
         room = np.maximum(room.astype(np.int64), 0)
-        return np.where(delivered + 1e-12 >= power.p_const, np.minimum(target, room), 0)
+        return np.minimum(target, room)
     return np.where(delivered + 1e-12 >= need, target, 0)

@@ -7,11 +7,13 @@ now splits this into a demand pass and per-policy energy passes and
 works out most of the bookkeeping per block; the tests require it to give
 the same reports, bit for bit, as this loop.
 """
+from dataclasses import dataclass
+
 import numpy as np
 
 from scsim.catalog import build_catalog
 from scsim.energy import Battery, battery_step, harvest_rates, mean_rate
-from scsim.engine import EpochMetrics, MetricsReport, StepRecord
+from scsim.engine import EpochMetrics, MetricsReport
 from scsim.mobility import cell_indices, handovers_from_arrays, spawn_vehicles, traffic_multiplier
 from scsim.policy import (
     greedy_large_step,
@@ -22,6 +24,18 @@ from scsim.policy import (
     sustainable_small_step,
 )
 from scsim.station import CacheStore
+
+
+@dataclass(frozen=True)
+class ReferenceStep:
+    """One step of the loop, as its observer hook sees it."""
+
+    t: int
+    n_vehicles: int
+    hits: np.ndarray
+    served: np.ndarray
+    quotas: np.ndarray
+    active: np.ndarray
 
 
 def reference_run(scenario, step_hook=None):
@@ -166,9 +180,9 @@ def reference_run(scenario, step_hook=None):
 
                 if step_hook is not None:
                     step_hook(
-                        StepRecord(
+                        ReferenceStep(
                             t=t0 + (s + 1) * sc.step_seconds,
-                            offered=n_veh,
+                            n_vehicles=n_veh,
                             hits=hits_per_cell.copy(),
                             served=np.array(served, dtype=np.int64),
                             quotas=quotas.copy(),

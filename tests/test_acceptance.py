@@ -229,15 +229,14 @@ def test_a8_cap_law_property():
         )
 
         def check(rec, cap=max_users):
+            # rows are steps: count the steps checked and the steps in violation
             nonlocal violations, checked
-            checked += 1
+            checked += len(rec.served)
             limit = np.minimum(np.minimum(rec.hits, rec.quotas), cap)
-            if np.any(rec.served > limit) or np.any(rec.served < 0):
-                violations += 1
-            if np.any(rec.served[~rec.active] != 0):
-                violations += 1
+            violations += int(np.count_nonzero(((rec.served > limit) | (rec.served < 0)).any(axis=1)))
+            violations += int(np.count_nonzero((rec.served[:, ~rec.active] != 0).any(axis=1)))
 
-        run(sc, step_hook=check)
+        run(sc, epoch_hook=check)
 
     elapsed = time.perf_counter() - start
     ok = violations == 0 and checked >= 1000

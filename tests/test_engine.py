@@ -197,21 +197,49 @@ def test_policies_coincide_under_constant_energy():
         assert a.hit_rate == b.hit_rate
 
 
-def test_step_hook_sees_every_step_and_cap_law_holds():
+def test_epoch_hook_sees_every_step_and_cap_law_holds():
     records = []
     sc = Scenario(
         traffic=TrafficProfile(base_density=0.002, enabled=False),
         duration=900,
     )
-    run(sc, step_hook=records.append)
-    assert len(records) == 900
-    assert [r.t for r in records] == list(range(1, 901))
+    run(sc, epoch_hook=records.append)
+    assert [r.t0 for r in records] == [0]
+    assert sum(len(r.served) for r in records) == 900
     pm = sc.power
     for r in records:
         cap = np.minimum(np.minimum(r.hits, r.quotas), pm.max_users)
         assert np.all(r.served <= cap)
-        assert np.all(r.served[~r.active] == 0)
+        assert np.all(r.served[:, ~r.active] == 0)
         assert np.all(r.served >= 0)
+
+
+@pytest.mark.parametrize("policy", ["sustainable", "greedy"])
+def test_epoch_hook_sees_each_epoch_once_and_changes_nothing(policy):
+    sc = replace(SHARED_DEMAND_CASES["short-default-day"], policy=policy)
+    records = []
+    report = run(sc, epoch_hook=records.append)
+    assert_same_report(report, run(sc))
+    assert len(records) == sc.duration // sc.epoch_seconds
+    assert [r.t0 for r in records] == list(range(0, sc.duration, sc.epoch_seconds))
+    shape = (sc.epoch_seconds // sc.step_seconds, sc.highway.n_stations)
+    for r in records:
+        assert r.hits.shape == r.served.shape == shape
+        assert r.quotas.shape == r.active.shape == shape[1:]
+    assert sum(r.n_vehicles * len(r.hits) for r in records) == report.offered
+
+
+@pytest.mark.parametrize("policy", ["sustainable", "greedy"])
+def test_writing_into_an_epoch_record_changes_no_report(policy):
+    sc = replace(SHARED_DEMAND_CASES["short-default-day"], policy=policy)
+
+    def scribble(rec):
+        rec.hits[:] = 10**6
+        rec.served[:] = -1
+        rec.quotas[:] = 0
+        rec.active[:] = ~rec.active
+
+    assert_same_report(run(sc, epoch_hook=scribble), run(sc))
 
 
 def test_prefetch_never_hurts_continuity():
@@ -460,6 +488,34 @@ def test_sweep_cache_checks_sizes_before_simulating(monkeypatch):
     with pytest.raises(ValueError, match="cache_capacity"):
         sweep_cache(SWEEP_BASE, [5, -1])
 
+
+def test_every_entry_point_moves_the_vehicles_once_per_epoch(monkeypatch):
+    real = engine.spawn_vehicles
+    calls = []
+
+    def counted(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(engine, "spawn_vehicles", counted)
+    n_epochs = SWEEP_BASE.duration // SWEEP_BASE.epoch_seconds
+    for simulate in (run, compare_energy, lambda sc: sweep_cache(sc, SWEEP_SIZES)):
+        calls.clear()
+        simulate(SWEEP_BASE)
+        assert len(calls) == n_epochs
+
+
+def test_step_total_adds_like_the_step_loop():
+    rng = np.random.default_rng(20261020)
+    for _ in range(3000):
+        shape = (int(rng.integers(1, 400)), int(rng.integers(1, 13)))
+        rows = rng.uniform(-1.0, 1.0, shape) * 10.0 ** rng.uniform(-3.0, 6.0, shape)
+        total = 0.0
+        for row_sum in rows.sum(axis=1).tolist():
+            total += row_sum
+        assert engine._step_total(rows).hex() == total.hex()
+
+
 def counting_steps(monkeypatch):
     """Count calls of ``battery_step`` made through the engine or the energy module."""
     calls = []
@@ -546,7 +602,7 @@ def test_fallback_cases_reach_the_step_loop(monkeypatch, name):
     steps = counting_steps(monkeypatch)
     blocks = counting_blocks(monkeypatch)
     records = []
-    rep = run(sc, step_hook=records.append)
+    rep = run(sc, epoch_hook=records.append)
     assert_blocks_cover_every_step(sc, blocks)
     assert len(blocks) > n_epochs
     if name == "binding-serving":
@@ -612,11 +668,23 @@ def random_scenario(rng):
     )
 
 
-def trace(sc, simulate):
+def engine_trace(sc):
+    """The engine's report and its epoch records cut into per-step rows."""
     records = []
-    report = simulate(sc, step_hook=records.append)
-    return report, [(r.t, r.offered, r.hits.tolist(), r.served.tolist(), r.quotas.tolist(),
-                     r.active.tolist()) for r in records]
+    report = run(sc, epoch_hook=records.append)
+    return report, [
+        (r.t0 + (s + 1) * sc.step_seconds, r.n_vehicles, hits.tolist(), served.tolist(),
+         r.quotas.tolist(), r.active.tolist())
+        for r in records
+        for s, (hits, served) in enumerate(zip(r.hits, r.served))
+    ]
+
+
+def reference_trace(sc):
+    steps = []
+    report = reference_run(sc, step_hook=steps.append)
+    return report, [(r.t, r.n_vehicles, r.hits.tolist(), r.served.tolist(), r.quotas.tolist(),
+                     r.active.tolist()) for r in steps]
 
 
 @pytest.mark.parametrize("policy", ["sustainable", "greedy"])
@@ -642,8 +710,8 @@ def test_run_matches_single_loop_reference(policy):
     scenarios = [random_scenario(rng) for _ in range(40)] + list(FALLBACK_CASES.values()) + [ulp_above, dense]
     for sc in scenarios:
         sc = replace(sc, policy=policy)
-        got, got_steps = trace(sc, run)
-        want, want_steps = trace(sc, reference_run)
+        got, got_steps = engine_trace(sc)
+        want, want_steps = reference_trace(sc)
         assert_same_report(got, want)
         assert got_steps == want_steps
     n_veh = got_steps[0][1]

@@ -313,3 +313,25 @@ class TestGreedy:
     def test_vectorised(self):
         served = greedy_small_step(PM, np.array([10, 3, 0]), np.array([1.0, 0.7, 0.0]))
         np.testing.assert_array_equal(served, [10, 3, 0])
+
+    def test_partial_needs_no_p_const_guard(self):
+        """Below ``p_const`` the partial room already floors to 0."""
+        rng = np.random.default_rng(20261020)
+        for _ in range(2000):
+            max_users = int(rng.integers(1, 40))
+            p_const = float(rng.uniform(0.01, 0.99))
+            pm = PowerModel(p_const=p_const, p_per_user=(1.0 - p_const) / max_users,
+                            p_sleep=0.0, max_users=max_users)
+            delivered = np.concatenate((
+                rng.uniform(0.0, 1.0, 500),
+                p_const + rng.uniform(-1e-9, 1e-9, 500),
+                np.nextafter(p_const, [0.0, 1.0]),
+            ))
+            offered = rng.integers(0, 2 * max_users, delivered.size)
+            target = np.minimum(offered, max_users)
+            room = np.floor((delivered - p_const) / pm.p_per_user + 1e-9)
+            room = np.maximum(room.astype(np.int64), 0)
+            guarded = np.where(delivered + 1e-12 >= p_const, np.minimum(target, room), 0)
+            np.testing.assert_array_equal(
+                greedy_small_step(pm, offered, delivered, partial=True), guarded, strict=True
+            )
