@@ -22,7 +22,7 @@ def trace(draw: float, dt: float = 60.0):
     levels = []
     for harvest in harvest_rates(profile, ts).tolist():
         battery_step(batt, harvest, draw, dt)
-        levels.append(float(batt.level) / 3600.0)
+        levels.append(float(batt.level[0]) / 3600.0)
     return batt, ((ts + dt) / 3600.0).tolist(), levels
 
 
@@ -36,11 +36,11 @@ def main() -> None:
     for draw in (0.01, 0.5, 1.0):
         batt, hours, levels = trace(draw)
         series.append((f"draw = {draw}", hours, levels))
-        residual = abs(float(np.asarray(ledger_residual(batt))))
+        residual = np.max(np.abs(ledger_residual(batt)))
         print(
-            f"  {draw:4.2f} -> level {float(batt.level)/3600:6.3f}, "
-            f"consumed {float(batt.cum_consumed)/3600:6.3f}, "
-            f"deficit {float(batt.cum_deficit)/3600:6.3f}, "
+            f"  {draw:4.2f} -> level {batt.level[0]/3600:6.3f}, "
+            f"consumed {batt.cum_consumed[0]/3600:6.3f}, "
+            f"deficit {batt.cum_deficit[0]/3600:6.3f}, "
             f"ledger residual {residual:.2e}"
         )
 

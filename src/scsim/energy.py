@@ -1,15 +1,15 @@
 """Harvest profiles and battery bookkeeping.
 
 Power is expressed in units of the maximum station draw (1.0 = full
-load), energy in power-units x seconds. ``Battery`` fields accept either
-scalars or numpy arrays: :func:`battery_step` steps either, and
-:func:`settle` settles a 1-D bank of per-station batteries a block of
-steps at a time.
+load), energy in power-units x seconds. A ``Battery`` is a bank that
+holds one float64 value per station in every ledger entry:
+:func:`battery_step` advances it one step, and :func:`settle` a block of
+steps at a time, both by one step rule.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable
 
 import numpy as np
@@ -100,64 +100,76 @@ def _solar_integral(profile: EnergyProfile, t0: float, t1: float) -> float:
     return total
 
 
+# the ledger entries a step adds to, in the order :func:`_step_rule` returns their
+# amounts: harvested, delivered, overflow and deficit
+_BOOKED = ("cum_harvested", "cum_consumed", "cum_overflow", "cum_deficit")
+
+
 @dataclass
 class Battery:
-    """Energy store with a full conservation ledger.
+    """A bank of energy stores with a full conservation ledger.
 
-    The ledger identity ``cum_harvested - cum_overflow - cum_consumed ==
-    level - initial_level`` holds exactly (to float rounding) after any
-    sequence of steps; ``cum_deficit`` records requested-but-undelivered
-    energy and sits outside the identity. ``level`` is one scalar or, for
-    a bank, one entry per station; every step books overflow, which stays
-    exactly 0.0 at an infinite ``capacity``.
+    ``level``, ``initial_level`` and each ``cum_*`` entry are float64
+    arrays of one shape, one value per station; a scalar ``level`` makes
+    a one-station bank. Per station, ``cum_harvested - cum_overflow -
+    cum_consumed == level - initial_level`` holds exactly (to float
+    rounding) after any sequence of steps; ``cum_deficit`` records
+    requested-but-undelivered energy outside that identity. Every step
+    books overflow, which stays exactly 0.0 at an infinite ``capacity``.
     """
 
-    level: float | np.ndarray = 0.0
+    level: np.ndarray = 0.0  # type: ignore[assignment]
     capacity: float = math.inf
-    cum_harvested: float | np.ndarray = 0.0
-    cum_consumed: float | np.ndarray = 0.0
-    cum_overflow: float | np.ndarray = 0.0
-    cum_deficit: float | np.ndarray = 0.0
-    initial_level: float | np.ndarray = field(default=None)  # type: ignore[assignment]
+    cum_harvested: np.ndarray = 0.0  # type: ignore[assignment]
+    cum_consumed: np.ndarray = 0.0  # type: ignore[assignment]
+    cum_overflow: np.ndarray = 0.0  # type: ignore[assignment]
+    cum_deficit: np.ndarray = 0.0  # type: ignore[assignment]
+    initial_level: np.ndarray = None  # type: ignore[assignment]
 
     def __post_init__(self) -> None:
+        self.level = np.array(self.level, dtype=np.float64, ndmin=1)
         if not self.capacity >= 0:
             raise ValueError(f"capacity must be >= 0 (inf allowed), got {self.capacity}")
-        if not np.all(np.asarray(self.level) >= 0):
+        if not np.all(self.level >= 0):
             raise ValueError("level must be >= 0")
-        if np.any(np.asarray(self.level) > self.capacity):
+        if np.any(self.level > self.capacity):
             raise ValueError("level must not exceed capacity")
         if self.initial_level is None:
-            self.initial_level = np.copy(self.level) if isinstance(self.level, np.ndarray) else self.level
+            self.initial_level = self.level
+        for name in ("initial_level", *_BOOKED):
+            setattr(self, name, np.full(self.level.shape, getattr(self, name), dtype=np.float64))
+
+
+def _step_rule(level: np.ndarray, capacity: float, harvest, draw, dt: float) -> tuple[tuple, np.ndarray]:
+    """:func:`battery_step`'s rule, elementwise: the energies a step books, and its end level."""
+    harvested = harvest * dt
+    available = level + harvested
+    requested = draw * dt
+    delivered = np.minimum(requested, available)
+    after = available - delivered
+    overflow = np.maximum(after - capacity, 0.0)
+    return (harvested, delivered, overflow, requested - delivered), after - overflow
 
 
 def battery_step(
     batt: Battery, harvest: float | np.ndarray, draw: float | np.ndarray, dt: float
-) -> tuple[Battery, float | np.ndarray]:
-    """Advance the battery one interval: harvest first, then consume.
+) -> tuple[Battery, np.ndarray]:
+    """Advance the bank one interval: harvest first, then consume.
 
     This is the reference rule that :func:`settle` reproduces a block at a
     time. ``harvest`` and ``draw`` are power rates held constant over
-    ``dt`` seconds. Delivered power is capped by what the store plus this
-    interval's harvest can supply; the gap is booked as deficit. Charge
-    beyond ``capacity`` is booked as overflow, exactly 0.0 when the
-    capacity is infinite. Mutates ``batt`` and returns it along with the
-    delivered power.
+    ``dt`` seconds, one shared value or one per station. Delivered power
+    is capped by what the store plus this interval's harvest can supply;
+    the gap is booked as deficit. Charge beyond ``capacity`` is booked as
+    overflow, exactly 0.0 when the capacity is infinite. Mutates ``batt``
+    and returns it along with the delivered power per station.
     """
     if not dt > 0:
         raise ValueError("dt must be > 0")
-    harvested = harvest * dt
-    available = batt.level + harvested
-    requested = draw * dt
-    delivered = np.minimum(requested, available)
-    after = available - delivered
-    overflow = np.maximum(after - batt.capacity, 0.0)
-    batt.level = after - overflow
-    batt.cum_overflow = batt.cum_overflow + overflow
-    batt.cum_harvested += harvested
-    batt.cum_consumed += delivered
-    batt.cum_deficit += requested - delivered
-    return batt, delivered / dt
+    amounts, batt.level = _step_rule(batt.level, batt.capacity, harvest, draw, dt)
+    for name, amount in zip(_BOOKED, amounts):
+        setattr(batt, name, getattr(batt, name) + amount)
+    return batt, amounts[1] / dt
 
 
 def settle(
@@ -230,42 +242,37 @@ def _battery_run(
 ) -> int:
     """Check guessed start levels and book the leading steps they get right.
 
-    Runs the :func:`battery_step` arithmetic on every row of ``start`` at
-    once and takes the steps through the first whose end level misses the
-    next row: at least one step, since row 0 is ``batt.level``, at most
-    all. Writes the delivered power and end level of each step taken to
-    the leading rows of the two outputs and returns how many it took.
+    Applies the step rule to every row of ``start`` at once and takes the
+    steps through the first whose end level misses the next row: at least
+    one step, since row 0 is ``batt.level``, at most all. Writes the
+    delivered power and end level of each step taken to the leading rows
+    of the two outputs and returns how many it took.
     """
-    harvested = harvest * dt
-    available = start + harvested
-    requested = draw * dt
-    delivered = np.minimum(requested, available)
-    after = available - delivered
-    overflow = np.maximum(after - batt.capacity, 0.0)
-    after = after - overflow
+    amounts, after = _step_rule(start, batt.capacity, harvest, draw, dt)
     missed = (after[:-1] != start[1:]).any(axis=1)
     k = int(missed.argmax()) + 1 if missed.any() else len(start)
 
     batt.level = after[k - 1].copy()
-    batt.cum_overflow = _add_rows(batt.cum_overflow, overflow[:k])
-    batt.cum_harvested = float(_add_rows(batt.cum_harvested, harvested[:k, 0]))
-    batt.cum_consumed = _add_rows(batt.cum_consumed, delivered[:k])
-    batt.cum_deficit = _add_rows(batt.cum_deficit, (requested - delivered)[:k])
-    delivered_out[:k] = delivered[:k] / dt
+    for name, amount in zip(_BOOKED, amounts):
+        setattr(batt, name, _add_rows(getattr(batt, name), amount[:k]))
+    delivered_out[:k] = amounts[1][:k] / dt
     level_out[:k] = after[:k]
     return k
 
 
 def _add_rows(total: float | np.ndarray, rows: np.ndarray) -> float | np.ndarray:
-    """``total`` plus each row in turn, the additions a step loop makes."""
-    acc = np.empty((len(rows) + 1,) + rows.shape[1:])
+    """``total`` plus each row in turn, the additions a step loop makes.
+
+    ``add.accumulate`` adds strictly in order, where ``sum`` would add pairwise.
+    """
+    acc = np.empty((len(rows) + 1,) + np.shape(total))
     acc[0] = total
     acc[1:] = rows
     return np.add.accumulate(acc, axis=0)[-1].copy()
 
 
-def ledger_residual(batt: Battery) -> float | np.ndarray:
-    """Deviation from the conservation identity; ~0 for a healthy ledger."""
+def ledger_residual(batt: Battery) -> np.ndarray:
+    """Per-station deviation from the conservation identity; ~0 for a healthy ledger."""
     return (batt.cum_harvested - batt.cum_overflow - batt.cum_consumed) - (
         batt.level - batt.initial_level
     )

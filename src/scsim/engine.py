@@ -32,6 +32,7 @@ from .catalog import build_catalog
 from .energy import (
     Battery,
     EnergyProfile,
+    _add_rows,
     battery_step,  # not called here: perfbench/tracing.py looks it up in this module
     harvest_rates,
     ledger_residual,
@@ -289,7 +290,7 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
                     for cache in prefetching:
                         for pair in plan_prefetch(requests, cache, sc.prefetch_budget):
                             cache.prefetch_insert(pair)
-                np.take(flat_masks, lookup[j], axis=1, out=cached[j])
+                flat_masks.take(lookup[j], axis=1, out=cached[j])
 
             # (step, cell) slot of every vehicle, counted per size
             slots = np.arange(nb)[:, None] * n_stations + cells[1:]
@@ -304,17 +305,6 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
         yield [DemandEpoch(t0, n_veh, hits[k], handovers, continuity[k]) for k in range(n_sizes)]
         # the consumer drops its epochs too, so two epochs' hits never coexist
         del hits
-
-
-def _step_total(rows: np.ndarray) -> float:
-    """Sum a ``(steps, stations)`` block row by row, then step after step.
-
-    These are the additions, in the same order, of summing a per-station
-    array at every step, so the result matches that loop bit for bit:
-    ``add.accumulate`` adds strictly left to right, where ``sum`` would
-    add pairwise.
-    """
-    return float(np.add.accumulate(np.concatenate(([0.0], rows.sum(axis=1))))[-1])
 
 
 def _check_ledger(bank: Battery, steps: int) -> None:
@@ -395,8 +385,8 @@ class _EnergyPass:
                 scs_served=scs,
                 mbs_served=offered - scs,
                 hit_rate=n_hits / offered if offered else 0.0,
-                mean_power=_step_total(delivered) / (self.n_stations * self.n_sub),
-                mean_battery=_step_total(level) / (self.n_stations * self.n_sub),
+                mean_power=float(_add_rows(0.0, delivered.sum(axis=1))) / (self.n_stations * self.n_sub),
+                mean_battery=float(_add_rows(0.0, level.sum(axis=1))) / (self.n_stations * self.n_sub),
                 outage_energy=float(np.sum(self.bank.cum_deficit)) - deficit_before,
                 overflow_energy=float(np.sum(self.bank.cum_overflow)) - overflow_before,
                 continuity_rate=(

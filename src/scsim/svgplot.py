@@ -12,24 +12,27 @@ __all__ = ["render_line_chart"]
 
 PALETTE = ("#1f6fb2", "#d95f02", "#2a9d54", "#7b4baf")
 
+WIDTH = 720.0
+HEIGHT = 460.0
+TICK_TARGET = 5  # ticks an axis aims for
 MARGIN_LEFT = 64.0
 MARGIN_RIGHT = 18.0
 MARGIN_TOP = 34.0
 MARGIN_BOTTOM = 46.0
 
 
-def _nice_ticks(lo: float, hi: float, target: int = 5) -> list[float]:
+def _nice_ticks(lo: float, hi: float) -> list[float]:
     """Round tick positions on a 1-2-5 ladder covering [lo, hi]."""
     if not (math.isfinite(lo) and math.isfinite(hi)):
         raise ValueError("axis limits must be finite")
     if hi <= lo:
         hi = lo + (abs(lo) if lo else 1.0)
     span = hi - lo
-    raw = span / max(target, 1)
+    raw = span / TICK_TARGET
     mag = 10.0 ** math.floor(math.log10(raw))
     for mult in (1.0, 2.0, 5.0, 10.0):
         step = mult * mag
-        if span / step <= target:
+        if span / step <= TICK_TARGET:
             break
     first = math.ceil(lo / step) * step
     ticks = []
@@ -57,8 +60,6 @@ def render_line_chart(
     title: str = "",
     x_label: str = "",
     y_label: str = "",
-    width: float = 720.0,
-    height: float = 460.0,
 ) -> str:
     """Render labeled (x, y) series as a standalone SVG document string.
 
@@ -82,8 +83,8 @@ def render_line_chart(
         y_hi = y_lo + 1.0
     y_hi += 0.05 * (y_hi - y_lo)
 
-    plot_w = width - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = height - MARGIN_TOP - MARGIN_BOTTOM
+    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
     def sx(x: float) -> float:
         return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
@@ -93,13 +94,13 @@ def render_line_chart(
 
     out = []
     out.append(
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(width)}" '
-        f'height="{_fmt(height)}" viewBox="0 0 {_fmt(width)} {_fmt(height)}">'
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
+        f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">'
     )
-    out.append(f'<rect width="{_fmt(width)}" height="{_fmt(height)}" fill="white"/>')
+    out.append(f'<rect width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="white"/>')
     if title:
         out.append(
-            f'<text x="{_fmt(width / 2)}" y="20" text-anchor="middle" '
+            f'<text x="{_fmt(WIDTH / 2)}" y="20" text-anchor="middle" '
             f'font-family="sans-serif" font-size="15" fill="#222">{_escape(title)}</text>'
         )
 
@@ -162,7 +163,7 @@ def render_line_chart(
 
     if x_label:
         out.append(
-            f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" y="{_fmt(height - 10)}" '
+            f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" y="{_fmt(HEIGHT - 10)}" '
             f'text-anchor="middle" font-family="sans-serif" font-size="12" '
             f'fill="#222">{_escape(x_label)}</text>'
         )

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -14,6 +15,8 @@ from scsim.energy import (
     mean_rate,
     settle,
 )
+from scsim.engine import Scenario, run
+from scsim.mobility import TrafficProfile
 
 
 class TestHarvestRate:
@@ -315,3 +318,34 @@ class TestBatteryRun:
     def test_rejects_bad_dt(self):
         with pytest.raises(ValueError):
             settle(Battery(level=np.zeros(1)), np.zeros(2), lambda *_: 0.0, 0.0)
+
+
+ENTRIES = ("level", "initial_level", "cum_harvested", "cum_consumed", "cum_overflow", "cum_deficit")
+
+
+def assert_one_bank(batt, shape):
+    for name in ENTRIES:
+        entry = getattr(batt, name)
+        assert type(entry) is np.ndarray and entry.dtype == np.float64, name
+        assert entry.shape == shape, name
+
+
+def test_every_ledger_entry_is_a_float64_array_shaped_like_level():
+    assert [f.name for f in fields(Battery)] == [
+        "level", "capacity", "cum_harvested", "cum_consumed", "cum_overflow", "cum_deficit", "initial_level",
+    ]
+    batt = Battery(level=0.5, capacity=2.0)
+    assert_one_bank(batt, (1,))
+    battery_step(batt, 0.3, 0.4, dt=1.0)
+    assert_one_bank(batt, (1,))
+    bank = Battery(level=np.array([0.0, 1.0, 2.0]), capacity=2.5)
+    assert_one_bank(bank, (3,))
+    battery_step(bank, 0.7, 0.2, dt=1.0)
+    assert_one_bank(bank, (3,))
+    battery_step(bank, np.array([0.1, 0.9, 0.5]), np.array([0.3, 0.0, 0.4]), dt=2.0)
+    assert_one_bank(bank, (3,))
+    settle(bank, np.array([0.0, 0.5, 1.0]), lambda k, levels, h: np.minimum(0.6, levels), dt=1.0)
+    assert_one_bank(bank, (3,))
+    for policy in ("sustainable", "greedy"):
+        sc = Scenario(traffic=TrafficProfile(base_density=0.004, enabled=False), duration=1800, policy=policy)
+        assert_one_bank(run(sc).batteries, (sc.highway.n_stations,))
