@@ -65,32 +65,25 @@ def _epoch_hours(report: MetricsReport) -> list[float]:
     return [em.epoch_start_s / 3600.0 for em in report.epochs]
 
 
-def _mean_offload_curve(reports: list[MetricsReport]) -> list[float]:
-    """Per-epoch normalized offload averaged across same-shape runs."""
-    n_epochs = len(reports[0].epochs)
-    curve = []
-    for i in range(n_epochs):
-        vals = [
-            rep.epochs[i].scs_served / rep.epochs[i].offered
-            if rep.epochs[i].offered
-            else 0.0
-            for rep in reports
-        ]
-        curve.append(sum(vals) / len(vals))
-    return curve
+def _mean(rows: list[list[float]]) -> list[float]:
+    """Column means of same-length rows, one row per seed."""
+    return [sum(col) / len(col) for col in zip(*rows)]
+
+
+def _offload(report: MetricsReport) -> list[float]:
+    """Per-epoch normalized offload, 0 for an epoch with nothing offered."""
+    return [em.scs_served / em.offered if em.offered else 0.0 for em in report.epochs]
 
 
 class _Outputs(NamedTuple):
     """What a subcommand makes of its per-seed results.
 
-    ``summary.csv`` has one row per tuple in ``summary``, which holds an
-    instance of each class in ``columns``, one of them ``MetricsReport``;
-    ``metrics.csv`` holds the epochs of each row's ``MetricsReport``, in
-    row order. ``series`` and the labels make ``plot.svg``; ``note`` is
-    printed.
+    ``summary.csv`` has one row per tuple of reports in ``summary``, under
+    the columns of the first row's classes; ``metrics.csv`` holds the
+    epochs of the one ``MetricsReport`` in each row, in row order.
+    ``series`` and the labels make ``plot.svg``; ``note`` is printed.
     """
 
-    columns: tuple[type, ...]
     summary: list[tuple]
     series: list[tuple[str, list[float], list[float]]]
     title: str
@@ -101,17 +94,12 @@ class _Outputs(NamedTuple):
 
 def _run_outputs(settings: RunSettings, reports: list[MetricsReport]) -> _Outputs:
     hours = _epoch_hours(reports[0])
-    hit_curve = [
-        sum(rep.epochs[i].hit_rate for rep in reports) / len(reports)
-        for i in range(len(hours))
-    ]
     mean_offload = sum(rep.normalized_offload for rep in reports) / len(reports)
     return _Outputs(
-        (MetricsReport,),
         [(rep,) for rep in reports],
         [
-            ("normalized offload", hours, _mean_offload_curve(reports)),
-            ("hit rate", hours, hit_curve),
+            ("normalized offload", hours, _mean([_offload(rep) for rep in reports])),
+            ("hit rate", hours, _mean([[em.hit_rate for em in rep.epochs] for rep in reports])),
         ],
         title=f"{settings.scenario.policy} policy, daily metrics",
         x_label="hour of day",
@@ -122,12 +110,8 @@ def _run_outputs(settings: RunSettings, reports: list[MetricsReport]) -> _Output
 
 def _sweep_outputs(settings: RunSettings, sweeps: list[list[SweepPoint]]) -> _Outputs:
     sizes = settings.cache_sizes
-    mean_curve = [
-        sum(points[i].offload_mbps for points in sweeps) / len(sweeps) for i in range(len(sizes))
-    ]
-    plateau = mean_curve[-1] if mean_curve else 0.0
+    mean_curve = _mean([[p.offload_mbps for p in points] for points in sweeps])
     return _Outputs(
-        (SweepPoint, MetricsReport),
         [(p, p.report) for points in sweeps for p in points],
         [("offloaded traffic", [float(c) for c in sizes], mean_curve)],
         title="offload versus cache size",
@@ -135,7 +119,7 @@ def _sweep_outputs(settings: RunSettings, sweeps: list[list[SweepPoint]]) -> _Ou
         y_label="offloaded traffic (Mbps)",
         note=(
             f"sweep-cache: {len(sizes)} size(s) x {len(sweeps)} seed(s), "
-            f"final point {_g(plateau)} Mbps"
+            f"final point {_g(mean_curve[-1])} Mbps"
         ),
     )
 
@@ -144,11 +128,10 @@ def _compare_outputs(settings: RunSettings, comparisons: list[EnergyComparison])
     hours = _epoch_hours(comparisons[0].sustainable)
     mean_ratio = sum(c.capacity_ratio for c in comparisons) / len(comparisons)
     return _Outputs(
-        (MetricsReport, EnergyComparison),
         [(rep, cmp) for cmp in comparisons for rep in (cmp.sustainable, cmp.greedy)],
         [
-            ("sustainable", hours, _mean_offload_curve([c.sustainable for c in comparisons])),
-            ("greedy baseline", hours, _mean_offload_curve([c.greedy for c in comparisons])),
+            ("sustainable", hours, _mean([_offload(c.sustainable) for c in comparisons])),
+            ("greedy baseline", hours, _mean([_offload(c.greedy) for c in comparisons])),
         ],
         title="daily offload by energy policy",
         x_label="hour of day",
@@ -223,11 +206,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         scenarios = [replace(base, seed=base.seed + i) for i in range(args.seeds)]
         out = outputs(settings, map_ordered(per_seed(settings), scenarios, settings.workers))
-        k = out.columns.index(MetricsReport)
-        epochs = [em for reps in out.summary for em in reps[k].epochs]
+        reports = [rep for reps in out.summary for rep in reps if isinstance(rep, MetricsReport)]
+        epochs = [em for rep in reports for em in rep.epochs]
         files = {
             "metrics.csv": _csv([_header(EpochMetrics)] + [_row(em) for em in epochs]),
-            "summary.csv": _csv([_header(*out.columns)] + [_row(*reps) for reps in out.summary]),
+            "summary.csv": _csv([_header(*map(type, out.summary[0]))] + [_row(*reps) for reps in out.summary]),
             "plot.svg": render_line_chart(out.series, title=out.title, x_label=out.x_label, y_label=out.y_label),
         }
         args.out.mkdir(parents=True, exist_ok=True)

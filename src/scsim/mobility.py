@@ -44,11 +44,11 @@ class Highway:
 
 @dataclass(frozen=True)
 class VehicleSet:
-    """Column-oriented vehicle population (one array per field)."""
+    """Column-oriented vehicle population: one array per field, one speed for all."""
 
     position: np.ndarray
     direction: np.ndarray
-    speed: np.ndarray
+    speed: float
     active_content: np.ndarray
 
     @property
@@ -138,7 +138,7 @@ def spawn_vehicles(
     return VehicleSet(
         position=position,
         direction=direction,
-        speed=np.full(n_total, float(speed)),
+        speed=float(speed),
         active_content=content,
     )
 
@@ -169,20 +169,20 @@ def handovers_from_arrays(
     position: np.ndarray,
     cells: np.ndarray,
     direction: np.ndarray,
-    speed: np.ndarray,
+    speed: float | np.ndarray,
     highway: Highway,
     horizon: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Handover lookahead: each vehicle's next cell and when it gets there.
 
     ``cells`` holds the cell of each ``position`` (see :func:`cell_indices`);
-    both may be ``(steps, n)``, with ``direction`` and ``speed`` one entry
-    per vehicle. Returns (flat indices into ``position`` in ascending
-    order, next cell index, eta seconds) for every position whose next
-    boundary crossing falls within ``horizon`` seconds. A vehicle sitting
-    on a boundary already belongs to the higher cell, so travelling
-    forward it has a full cell to cross, while travelling backward it is
-    about to exit immediately (eta 0).
+    both may be ``(steps, n)``, with ``direction`` one entry per vehicle
+    and ``speed`` one value for all or one per vehicle. Returns (flat
+    indices into ``position`` in ascending order, next cell index, eta
+    seconds) for every position whose next boundary crossing falls within
+    ``horizon`` seconds. A vehicle sitting on a boundary already belongs
+    to the higher cell, so travelling forward it has a full cell to cross,
+    while travelling backward it is about to exit immediately (eta 0).
     """
     cl = highway.cell_length
     forward = direction > 0

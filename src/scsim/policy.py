@@ -31,6 +31,11 @@ __all__ = [
 _FLOOR_EPS = 1e-9
 
 
+def _users(power: PowerModel, rate):
+    """Whole users, uncapped, whose linear draw above ``p_const`` fits within ``rate``."""
+    return np.floor((rate - power.p_const) / power.p_per_user + _FLOOR_EPS)
+
+
 @dataclass(frozen=True)
 class BackhaulBudget:
     """Epoch cache-update allowance; the realized value varies per epoch."""
@@ -126,7 +131,7 @@ def sustainable_large_step(
     """
     r = np.asarray(levels, dtype=np.float64) / epoch_seconds + forecast
     active = r >= power.p_const
-    q = np.floor((np.minimum(r, 1.0) - power.p_const) / power.p_per_user + _FLOOR_EPS)
+    q = _users(power, np.minimum(r, 1.0))
     quotas = np.where(active, np.clip(q, 0, power.max_users), 0).astype(np.int64)
     return active, quotas
 
@@ -155,9 +160,7 @@ def sustainable_small_step(
     watermark.
     """
     avail = battery_level / dt + harvest
-    net = np.minimum(avail, 1.0) - power.p_const
-    affordable = np.floor(net / power.p_per_user + _FLOOR_EPS).astype(np.int64)
-    affordable = np.maximum(affordable, 0)
+    affordable = np.maximum(_users(power, np.minimum(avail, 1.0)).astype(np.int64), 0)
     # a sleeper's quota is 0 and its floor p_sleep
     served = np.minimum(np.minimum(offered_hits, np.where(active, quota, 0)), affordable)
     draw = np.minimum(np.where(active, power.p_const, power.p_sleep) + power.p_per_user * served, avail)
@@ -187,7 +190,6 @@ def greedy_small_step(
     need = power.p_const + power.p_per_user * target
     if partial:
         # below p_const the floor is at most 0, so room is already 0 there
-        room = np.floor((delivered - power.p_const) / power.p_per_user + _FLOOR_EPS)
-        room = np.maximum(room.astype(np.int64), 0)
+        room = np.maximum(_users(power, delivered).astype(np.int64), 0)
         return np.minimum(target, room)
     return np.where(delivered + 1e-12 >= need, target, 0)

@@ -3,6 +3,7 @@
 No plotting dependency: the outputs here are small result figures, and
 hand-built SVG keeps bytes reproducible run to run. All coordinates are
 formatted with fixed precision so identical data yields identical files.
+One writer, ``_tag``, spells every element below the ``<svg>`` root.
 """
 from __future__ import annotations
 
@@ -19,6 +20,8 @@ MARGIN_LEFT = 64.0
 MARGIN_RIGHT = 18.0
 MARGIN_TOP = 34.0
 MARGIN_BOTTOM = 46.0
+PLOT_W = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
+PLOT_H = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
 
 
 def _nice_ticks(lo: float, hi: float) -> list[float]:
@@ -47,12 +50,35 @@ def _fmt(value: float) -> str:
     return f"{value:.2f}"
 
 
-def _label(value: float) -> str:
-    return f"{value:.6g}"
-
-
 def _escape(text: str) -> str:
     return text.replace("&", "&amp;").replace("<", "&lt;").replace(">", "&gt;")
+
+
+def _tag(name: str, body: str | None = None, /, **attrs) -> str:
+    """One element with ``attrs`` in the order given, ``_`` in their names spelled ``-``.
+
+    Floats are written with ``_fmt``, other values as given; an element
+    without ``body`` closes itself, and a body is escaped.
+    """
+    spelled = " ".join(
+        f'{key.replace("_", "-")}="{_fmt(value) if isinstance(value, float) else value}"'
+        for key, value in attrs.items()
+    )
+    if body is None:
+        return f"<{name} {spelled}/>"
+    return f"<{name} {spelled}>{_escape(body)}</{name}>"
+
+
+def _text(
+    body: str, x: float, y: float | int, size: int, fill: str = "#222", anchor: str | None = None, **after
+) -> str:
+    """Sans-serif text; ``anchor`` goes before the font attributes, ``after`` behind them."""
+    lead = {"text_anchor": anchor} if anchor else {}
+    return _tag("text", body, x=x, y=y, **lead, font_family="sans-serif", font_size=size, fill=fill, **after)
+
+
+def _line(x1: float, y1: float, x2: float, y2: float, stroke: str, width: int) -> str:
+    return _tag("line", x1=x1, y1=y1, x2=x2, y2=y2, stroke=stroke, stroke_width=width)
 
 
 def render_line_chart(
@@ -83,98 +109,49 @@ def render_line_chart(
         y_hi = y_lo + 1.0
     y_hi += 0.05 * (y_hi - y_lo)
 
-    plot_w = WIDTH - MARGIN_LEFT - MARGIN_RIGHT
-    plot_h = HEIGHT - MARGIN_TOP - MARGIN_BOTTOM
-
     def sx(x: float) -> float:
-        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * plot_w
+        return MARGIN_LEFT + (x - x_lo) / (x_hi - x_lo) * PLOT_W
 
     def sy(y: float) -> float:
-        return MARGIN_TOP + plot_h - (y - y_lo) / (y_hi - y_lo) * plot_h
+        return MARGIN_TOP + PLOT_H - (y - y_lo) / (y_hi - y_lo) * PLOT_H
 
-    out = []
-    out.append(
+    out = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{_fmt(WIDTH)}" '
-        f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">'
-    )
-    out.append(f'<rect width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="white"/>')
+        f'height="{_fmt(HEIGHT)}" viewBox="0 0 {_fmt(WIDTH)} {_fmt(HEIGHT)}">',
+        _tag("rect", width=WIDTH, height=HEIGHT, fill="white"),
+    ]
     if title:
-        out.append(
-            f'<text x="{_fmt(WIDTH / 2)}" y="20" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="15" fill="#222">{_escape(title)}</text>'
-        )
+        out.append(_text(title, WIDTH / 2, 20, 15, anchor="middle"))
 
     for tick in _nice_ticks(x_lo, x_hi):
         px = sx(tick)
-        out.append(
-            f'<line x1="{_fmt(px)}" y1="{_fmt(MARGIN_TOP)}" x2="{_fmt(px)}" '
-            f'y2="{_fmt(MARGIN_TOP + plot_h)}" stroke="#ddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(px)}" y="{_fmt(MARGIN_TOP + plot_h + 18)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="11" '
-            f'fill="#444">{_label(tick)}</text>'
-        )
+        out.append(_line(px, MARGIN_TOP, px, MARGIN_TOP + PLOT_H, "#ddd", 1))
+        out.append(_text(f"{tick:.6g}", px, MARGIN_TOP + PLOT_H + 18, 11, fill="#444", anchor="middle"))
     for tick in _nice_ticks(y_lo, y_hi):
         py = sy(tick)
-        out.append(
-            f'<line x1="{_fmt(MARGIN_LEFT)}" y1="{_fmt(py)}" '
-            f'x2="{_fmt(MARGIN_LEFT + plot_w)}" y2="{_fmt(py)}" '
-            f'stroke="#ddd" stroke-width="1"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(MARGIN_LEFT - 8)}" y="{_fmt(py + 4)}" '
-            f'text-anchor="end" font-family="sans-serif" font-size="11" '
-            f'fill="#444">{_label(tick)}</text>'
-        )
-
-    frame = (
-        f'<rect x="{_fmt(MARGIN_LEFT)}" y="{_fmt(MARGIN_TOP)}" '
-        f'width="{_fmt(plot_w)}" height="{_fmt(plot_h)}" fill="none" '
-        f'stroke="#555" stroke-width="1"/>'
-    )
-    out.append(frame)
+        out.append(_line(MARGIN_LEFT, py, MARGIN_LEFT + PLOT_W, py, "#ddd", 1))
+        out.append(_text(f"{tick:.6g}", MARGIN_LEFT - 8, py + 4, 11, fill="#444", anchor="end"))
+    out.append(_tag("rect", x=MARGIN_LEFT, y=MARGIN_TOP, width=PLOT_W, height=PLOT_H,
+                    fill="none", stroke="#555", stroke_width=1))
 
     for i, (label, xs, ys) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
         if xs:
             coords = " ".join(f"{_fmt(sx(x))},{_fmt(sy(y))}" for x, y in zip(xs, ys))
-            out.append(
-                f'<polyline points="{coords}" fill="none" stroke="{color}" '
-                f'stroke-width="2"/>'
-            )
+            out.append(_tag("polyline", points=coords, fill="none", stroke=color, stroke_width=2))
             if len(xs) <= 40:
-                for x, y in zip(xs, ys):
-                    out.append(
-                        f'<circle cx="{_fmt(sx(x))}" cy="{_fmt(sy(y))}" r="3" '
-                        f'fill="{color}"/>'
-                    )
+                out.extend(_tag("circle", cx=sx(x), cy=sy(y), r=3, fill=color) for x, y in zip(xs, ys))
         legend_y = MARGIN_TOP + 14 + 16 * i
-        legend_x = MARGIN_LEFT + plot_w - 150
-        out.append(
-            f'<line x1="{_fmt(legend_x)}" y1="{_fmt(legend_y - 4)}" '
-            f'x2="{_fmt(legend_x + 22)}" y2="{_fmt(legend_y - 4)}" '
-            f'stroke="{color}" stroke-width="2"/>'
-        )
-        out.append(
-            f'<text x="{_fmt(legend_x + 28)}" y="{_fmt(legend_y)}" '
-            f'font-family="sans-serif" font-size="11" fill="#222">{_escape(label)}</text>'
-        )
+        legend_x = MARGIN_LEFT + PLOT_W - 150
+        out.append(_line(legend_x, legend_y - 4, legend_x + 22, legend_y - 4, color, 2))
+        out.append(_text(label, legend_x + 28, legend_y, 11))
 
     if x_label:
-        out.append(
-            f'<text x="{_fmt(MARGIN_LEFT + plot_w / 2)}" y="{_fmt(HEIGHT - 10)}" '
-            f'text-anchor="middle" font-family="sans-serif" font-size="12" '
-            f'fill="#222">{_escape(x_label)}</text>'
-        )
+        out.append(_text(x_label, MARGIN_LEFT + PLOT_W / 2, HEIGHT - 10, 12, anchor="middle"))
     if y_label:
         cx = 16.0
-        cy = MARGIN_TOP + plot_h / 2
-        out.append(
-            f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" text-anchor="middle" '
-            f'font-family="sans-serif" font-size="12" fill="#222" '
-            f'transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{_escape(y_label)}</text>'
-        )
+        cy = MARGIN_TOP + PLOT_H / 2
+        out.append(_text(y_label, cx, cy, 12, anchor="middle", transform=f"rotate(-90 {_fmt(cx)} {_fmt(cy)})"))
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,4 +1,5 @@
 """Engine-level behavior: determinism, conservation, oracle agreement."""
+import inspect
 from dataclasses import fields, replace
 
 import numpy as np
@@ -18,9 +19,9 @@ from scsim.engine import (
     run,
     sweep_cache,
 )
-from scsim.mobility import Highway, TrafficProfile
+from scsim.mobility import Highway, TrafficProfile, VehicleSet
 from scsim.policy import BackhaulBudget
-from scsim.station import PowerModel
+from scsim.station import CacheStore, PowerModel
 
 
 def poisson_truncated_mean(mu, c):
@@ -503,6 +504,35 @@ def test_every_entry_point_moves_the_vehicles_once_per_epoch(monkeypatch):
         calls.clear()
         simulate(SWEEP_BASE)
         assert len(calls) == n_epochs
+
+
+def test_engine_calls_every_layer_function_it_imports(monkeypatch):
+    """A per-layer benchmark that wraps these names reads 0 for any the engine stops calling."""
+    # imported only so that per-layer tracing can wrap it where the engine looks names up
+    unused = {"battery_step"}
+    names = sorted(
+        name
+        for name, fn in vars(engine).items()
+        if inspect.isfunction(fn) and fn.__module__.startswith("scsim.") and fn.__module__ != engine.__name__
+    )
+    assert {"spawn_vehicles", "plan_prefetch", "sustainable_small_step", "greedy_small_step"} <= set(names)
+    targets = [(engine, name) for name in names if name not in unused] + [
+        (VehicleSet, "positions_at"),
+        (CacheStore, "apply_popular_update"),
+        (CacheStore, "prefetch_insert"),
+        (BackhaulBudget, "realize"),
+    ]
+    calls = dict.fromkeys((name for _, name in targets), 0)
+    for owner, name in targets:
+        real = vars(owner)[name]
+
+        def counted(*args, real=real, name=name, **kwargs):
+            calls[name] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(owner, name, counted)
+    compare_energy(Scenario(step_seconds=60, duration=7200))
+    assert [name for name, n in calls.items() if n == 0] == []
 
 
 def test_step_total_adds_like_the_step_loop():

@@ -241,7 +241,7 @@ class TestPredictNextCell:
         assert idx.size == veh.n
         for k in range(veh.n):
             want_nxt, want_eta = predict_next_cell(
-                float(veh.position[k]), int(veh.direction[k]), float(veh.speed[k]), HW
+                float(veh.position[k]), int(veh.direction[k]), veh.speed, HW
             )
             assert nxt[k] == want_nxt
             assert eta[k] == pytest.approx(want_eta, abs=1e-9)
@@ -254,8 +254,8 @@ class TestPredictNextCell:
         )
         assert np.all(eta <= 1.0)
         full_eta = [
-            predict_next_cell(float(p), int(d), float(v), HW)[1]
-            for p, d, v in zip(veh.position, veh.direction, veh.speed)
+            predict_next_cell(float(p), int(d), veh.speed, HW)[1]
+            for p, d in zip(veh.position, veh.direction)
         ]
         assert idx.size == int((np.asarray(full_eta) <= 1.0).sum())
         # a (steps, n) block gives the rows' results, indices flattened row-major
