@@ -15,6 +15,16 @@ comparison therefore feeds one demand pass to both energy passes, and a
 cache sweep moves the vehicles once for all its sizes and feeds each
 size's hits to one energy pass per size.
 
+The demand pass works per event, not per vehicle-step. Every vehicle
+shares one speed, so it changes cell only every ``cell_length / (speed *
+step)`` steps. The pass finds each vehicle's cell crossings by
+evaluating its exact cell on a few rows around each predicted one, and
+cuts its steps into runs of one cell. Only steps with a crossing stage
+prefetches, and each insert and eviction is logged as a change of one
+(station, content) slot. A run's hits are its slot's state over its
+steps, so one difference array over (step, cell), fed by the runs and
+the logged changes, gives every step's hits with one cumulative sum.
+
 Everything is driven by one seeded generator in a fixed consumption
 order, so a scenario and a seed pin the full output byte-for-byte.
 """
@@ -42,6 +52,7 @@ from .energy import (
 from .mobility import (
     Highway,
     TrafficProfile,
+    VehicleSet,
     cell_indices,
     handovers_from_arrays,
     spawn_vehicles,
@@ -213,15 +224,261 @@ class DemandEpoch:
     continuity: int
 
 
+# Offsets of the rows sampled around a guessed crossing row ``c``: a
+# crossing at row ``c - 1``, ``c`` or ``c + 1`` shows between two adjacent rows.
+_WINDOW = np.arange(-2, 2)
+
+
+def _spans(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Expand the ranges ``lo[i] .. lo[i] + counts[i] - 1``: (``i``, value) per element."""
+    owner = np.repeat(np.arange(lo.size), counts)
+    first = np.cumsum(counts) - counts
+    return owner, np.arange(owner.size) - first[owner] + lo[owner]
+
+
+def _short_steps(vehicles: VehicleSet, hw: Highway, dt: float) -> bool:
+    """Whether a step moves every vehicle at most a quarter cell, yet by many ulps of the ring.
+
+    Then a vehicle's crossings are at least three steps apart, and one
+    within a step of its next boundary crosses it within two steps.
+    """
+    stride = vehicles.speed * dt
+    return hw.length * 2.0**-40 <= stride <= hw.cell_length / 4
+
+
+def _guess_crossings(vehicles: VehicleSet, hw: Highway, dt: float, n_sub: int) -> np.ndarray | None:
+    """Rows where each vehicle should enter a new cell, from its distance to each boundary ahead.
+
+    Row ``r`` holds the positions after ``r`` steps. A guess is the row of
+    the real-valued crossing, so rounding can put the exact one a row off.
+    Each vehicle gets guesses up to past row ``n_sub + 2``. Returns None,
+    meaning every row, unless steps are short (:func:`_short_steps`).
+    """
+    if not _short_steps(vehicles, hw, dt):
+        return None
+    cl = hw.cell_length
+    stride = vehicles.speed * dt
+    forward = vehicles.direction > 0
+    below = np.floor(vehicles.position / cl) * cl
+    ahead = np.where(forward, below + cl - vehicles.position, vehicles.position - below)
+    rows = (ahead[:, None] + np.arange(int((n_sub + 3) * stride // cl) + 2) * cl) / stride
+    # forward, a vehicle on a boundary is in the cell it enters; backward, in the one it leaves
+    return np.where(forward[:, None], np.ceil(rows), np.floor(rows) + 1).astype(np.int64)
+
+
+def _sample_cells(
+    vehicles: VehicleSet, hw: Highway, dt: float, n_sub: int, guesses: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Exact cells at rows 0 and ``n_sub`` and around each guessed crossing.
+
+    Returns ``(vehicle, row, cell)`` sorted by vehicle, then row. Each cell
+    is ``cell_indices(positions_at(row * dt))``, the matrix expression on
+    gathered pairs. Between two sampled rows more than a step apart, the
+    vehicle keeps its cell: both ends agree, and the gap moves it less
+    than a cell, across at most one boundary. Any other gap holds a
+    crossing the guesses missed, and that vehicle is sampled on every row,
+    as every vehicle is when ``guesses`` is None.
+    """
+    n, per = vehicles.n, n_sub + 1
+
+    def cells_at(keys):
+        veh, row = np.divmod(keys, per)
+        return veh, row, cell_indices(vehicles.positions_at(row * dt, hw, veh), hw)
+
+    if guesses is None:
+        return cells_at(np.arange(n * per))
+    windows = (guesses[:, :, None] + _WINDOW).reshape(n, guesses.shape[1] * _WINDOW.size)
+    rows = np.hstack((np.zeros((n, 1), np.int64), windows, np.full((n, 1), n_sub)))
+    # guesses three rows apart keep each vehicle's rows ascending, so repeats are neighbours
+    keys = (np.clip(rows, 0, n_sub) + np.arange(n)[:, None] * per).ravel()
+    keys = keys[np.diff(keys, prepend=-1) != 0]
+    veh, row, cells = cells_at(keys)
+    gap = np.diff(row)
+    missed = (np.diff(veh) == 0) & (gap > 1)
+    missed &= (np.diff(cells) != 0) | ((gap + 1) * (vehicles.speed * dt) > hw.cell_length)
+    if missed.any():
+        redo = np.unique(veh[1:][missed])
+        dense = (redo[:, None] * per + np.arange(per)).ravel()
+        veh, row, cells = cells_at(np.union1d(keys[~np.isin(veh, redo)], dense))
+    return veh, row, cells
+
+
+def _segments(veh: np.ndarray, row: np.ndarray, cells: np.ndarray, n_sub: int):
+    """Each vehicle's runs of one cell, as ``(vehicle, cell, a, b, crossed)``.
+
+    Step ``s`` looks its hits up at row ``s + 1``, so a run entered at row
+    ``r`` covers steps ``[r - 1, b)``, starting with the step that crossed
+    into it (``crossed``); a vehicle's first run starts at step 0.
+    """
+    start = np.flatnonzero((np.diff(veh, prepend=-1) != 0) | (np.diff(cells, prepend=-1) != 0))
+    seg_veh, first = veh[start], row[start]
+    end = np.append(first[1:], n_sub + 1)
+    end[np.diff(seg_veh, append=-1) != 0] = n_sub + 1
+    return seg_veh, cells[start], np.maximum(first - 1, 0), end - 1, first > 0
+
+
+def _requests(vehicles: VehicleSet, hw: Highway, dt: float, n_sub: int, crossings, popular: np.ndarray):
+    """Handover lookahead of every step that has a crossing, most urgent first.
+
+    ``crossings`` is ``(vehicle, row)`` of every crossing, sorted. Returns
+    ``(step, station, content)`` ordered by step, then arrival time, next
+    cell and content. When steps are short (:func:`_short_steps`), a
+    vehicle's requests come from the two rows before each of its
+    crossings, the crossing row itself, and the epoch's last two rows;
+    only those rows are evaluated, each once. Otherwise every row is.
+    Requests for ids up to ``popular[station]``, which every size caches
+    all epoch, are dropped before sorting.
+    """
+    cv, cr = crossings
+    changed = np.zeros(n_sub, dtype=bool)
+    changed[cr - 1] = True
+    # inclusive row ranges, one per crossing and one per vehicle for the epoch's end
+    every = np.arange(vehicles.n)
+    owners, lo, hi = every, np.zeros(vehicles.n, np.int64), np.full(vehicles.n, n_sub - 1)
+    if _short_steps(vehicles, hw, dt):
+        top = np.minimum(cr, n_sub - 1)
+        # a vehicle's ranges start past its previous one, so no row comes twice
+        prev = np.where(np.diff(cv, prepend=-1) != 0, -1, np.roll(top, 1))
+        last = np.full(vehicles.n, -1)
+        tail = np.diff(cv, append=-1) != 0
+        last[cv[tail]] = top[tail]
+        owners = np.concatenate((cv, every))
+        lo = np.concatenate((np.maximum(cr - 2, prev + 1), np.maximum(last + 1, max(n_sub - 2, 0))))
+        hi = np.concatenate((top, hi))
+    owner, rows = _spans(lo, np.maximum(hi - lo + 1, 0))
+    veh = owners[owner]
+    gated = changed[rows]
+    veh, rows = veh[gated], rows[gated]
+    positions = vehicles.positions_at(rows * dt, hw, veh)
+    flat, nxt, eta = handovers_from_arrays(
+        positions, cell_indices(positions, hw), vehicles.direction[veh], vehicles.speed, hw, horizon=dt
+    )
+    ahead = vehicles.active_content[veh[flat]]
+    wanted = ahead > popular[nxt]
+    step, nxt, eta, ahead = rows[flat][wanted], nxt[wanted], eta[wanted], ahead[wanted]
+    order = np.lexsort((ahead, nxt, eta, step))
+    return step[order], nxt[order], ahead[order]
+
+
+def _stage(cache: CacheStore, requests, budget: int) -> list[tuple[int, int, int, int, bool]]:
+    """Plan and insert each step's prefetches, logging what each insert touched.
+
+    Pairs whose id is in the destination's popular partition are dropped
+    first: those ids stay cached all epoch, so ``plan_prefetch`` would skip
+    them. Each insert logs ``(step, station, id, touched, state)``: its id
+    is now cached, and ``touched``, the id it evicted or else its own id,
+    is in the state ``cache.contains`` reads right after.
+    """
+    step, nxt, content = requests
+    keep = content > np.array(cache.n_popular)[nxt]
+    step, nxt, content = step[keep], nxt[keep], content[keep]
+    pairs = list(zip(nxt.tolist(), content.tolist()))
+    bounds = [0, *(np.flatnonzero(np.diff(step)) + 1).tolist(), step.size]
+    steps = step.tolist()
+    log = []
+    for lo, hi in zip(bounds[:-1], bounds[1:]) if steps else ():
+        for pair in plan_prefetch(pairs[lo:hi], cache, budget):
+            evicted = cache.prefetch_insert(pair)
+            station, content = pair
+            touched = content if evicted is None else evicted
+            log.append((steps[lo], station, content, touched, cache.contains(station, touched)))
+    return log
+
+
+def _flips(logs: list[list], start: np.ndarray, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
+    """The logged slots' changes of state, as sorted keys ``slot * (n_sub + 1) + step`` and new states.
+
+    ``logs[k]`` is size ``k``'s log from :func:`_stage`; a slot is a flat
+    index into the ``(n_sizes, n_stations, n_files + 1)`` masks, whose
+    epoch-start copy is ``start``. A step's last entry for a slot is its
+    state at that step's lookup; an entry that keeps the state is no flip.
+    """
+    _, n_stations, n_cols = start.shape
+    slots, steps, states = [], [], []
+    for k, log in enumerate(logs):
+        step, station, content, touched, state = np.array(log, dtype=np.int64).reshape(-1, 5).T
+        base = (k * n_stations + station) * n_cols
+        # each insert is two entries, in order: its own id, now cached, then the touched id
+        slots.append(np.stack((base + content, base + touched), axis=1).ravel())
+        steps.append(np.repeat(step, 2))
+        states.append(np.stack((np.ones_like(state), state), axis=1).ravel())
+    slot, step, state = (np.concatenate(x) for x in (slots, steps, states))
+    keys = slot * (n_sub + 1) + step
+    order = np.argsort(keys, kind="stable")
+    last = np.diff(keys[order], append=-1) != 0
+    keys, slot, state = keys[order][last], slot[order][last], state[order][last] != 0
+    # a slot's state before its first entry is its epoch-start state
+    before = np.where(np.diff(slot, prepend=-1) == 0, np.roll(state, 1), start.reshape(-1)[slot])
+    flip = state != before
+    return keys[flip], state[flip]
+
+
+def _step_sums(plus: np.ndarray, minus: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
+    """Running sums over axis 1 of a difference array given as flat +1 and -1 positions; last row dropped."""
+    size = math.prod(shape)
+    diff = np.bincount(plus, minlength=size) - np.bincount(minus, minlength=size)
+    return np.cumsum(diff.reshape(shape), axis=1)[:, :-1]
+
+
+def _count_hits(segments, contents: np.ndarray, start: np.ndarray, flips, n_sub: int):
+    """Hits per (size, step, cell) and continuity per size, from one difference array.
+
+    A run of one cell looks up one slot, its cell's bit for its content,
+    over steps ``[a, b)``. The slot starts the run in its state after its
+    last flip at or before step ``a``, or its epoch-start state in
+    ``start``. The run adds that state at ``a``, each flip inside the run
+    adds +1 or -1 at its step, and the run's end state comes off at ``b``.
+    Continuity counts the runs entered by a crossing that start on.
+    """
+    seg_veh, cell, a, b, crossed = segments
+    n_sizes, n_stations, n_cols = start.shape
+    size = np.arange(n_sizes)[:, None]
+    slot = (size * n_stations + cell) * n_cols + contents[seg_veh]
+    on_a = on_b = start.reshape(-1)[slot]
+    keys, states = flips
+    plus, minus = [], []
+    if keys.size:
+        base = slot * (n_sub + 1)
+        lo = np.searchsorted(keys, base + a, "right")
+        hi = np.maximum(np.searchsorted(keys, base + b, "left"), lo)
+        mine = (lo > 0) & (keys[lo - 1] >= base)
+        on_a = np.where(mine, states[lo - 1], on_a)
+        on_b = np.where(hi > lo, states[hi - 1], on_a)
+        run, flip = _spans(lo.ravel(), (hi - lo).ravel())
+        at = (run // cell.size * (n_sub + 1) + keys[flip] % (n_sub + 1)) * n_stations + cell[run % cell.size]
+        plus.append(at[states[flip]])
+        minus.append(at[~states[flip]])
+    plus.append(((size * (n_sub + 1) + a) * n_stations + cell)[on_a])
+    minus.append(((size * (n_sub + 1) + b) * n_stations + cell)[on_b])
+    hits = _step_sums(np.concatenate(plus), np.concatenate(minus), (n_sizes, n_sub + 1, n_stations))
+    return hits, np.count_nonzero(on_a & crossed, axis=1).tolist()
+
+
+def _check_demand(hits: np.ndarray, occupancy: np.ndarray, handovers: int, continuity: list[int]) -> None:
+    """Raise when an epoch's counts break what any lookup gives: 0 <= hits <= vehicles in the cell."""
+    if np.any(hits < 0):
+        raise RuntimeError(f"demand pass counted {int(hits.min())} hits in a cell at a step")
+    if np.any(hits > occupancy):
+        raise RuntimeError("demand pass counted more hits in a cell than vehicles in it")
+    if max(continuity) > handovers:
+        raise RuntimeError(f"demand pass counted {max(continuity)} continued handovers of {handovers}")
+
+
 def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpoch]]:
     """Mobility, caching and hit lookup: the policy-independent half of a run.
 
     Each epoch respawns the vehicles, refreshes the popular partitions
-    under one backhaul draw per station, then steps the vehicles, stages
-    prefetches ahead of handovers, and looks up hits and handover
-    continuity. The random stream is consumed in that fixed order, and no
-    cache state feeds it, so one pass serves several cache sizes: it moves
-    the vehicles once and yields, each epoch, one :class:`DemandEpoch` per
+    under one backhaul draw per station, then works per event, not per
+    vehicle-step. It finds each vehicle's cell crossings (exact cells on
+    a few rows around each guessed one), cuts its steps into runs of one
+    cell, and stages the prefetches of every step with a crossing, in
+    step order, logging each slot an insert or eviction touches. Hits and
+    continuity then follow from the runs, their slots' epoch-start states
+    and the log, as :func:`_count_hits` describes; the counts are those a
+    lookup of every vehicle at every step would give, and are checked.
+    The random stream is consumed in that fixed order, and no cache state
+    feeds it, so one pass serves several cache sizes: it moves the
+    vehicles once and yields, each epoch, one :class:`DemandEpoch` per
     entry of ``capacities``, each as its own single-size pass would.
     """
     hw = sc.highway
@@ -231,10 +488,9 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
     rng = np.random.default_rng(sc.seed)
 
     masks = np.zeros((n_sizes, n_stations, sc.n_files + 1), dtype=bool)
-    flat_masks = masks.reshape(n_sizes, -1)
     stores = [CacheStore(c, sc.split_ratio, mask=masks[k]) for k, c in enumerate(capacities)]
     # only the sizes with prefetch slots stage anything ahead of a handover
-    prefetching = [cache for cache in stores if cache.prefetch_capacity > 0] if sc.prefetch_budget else []
+    prefetching = sc.prefetch_budget > 0 and any(cache.prefetch_capacity for cache in stores)
     dt = float(sc.step_seconds)
     n_sub = sc.epoch_seconds // sc.step_seconds
 
@@ -248,61 +504,23 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
                 plan_popular_update(cache.n_popular, catalog, budgets, cache.popular_capacity)
             )
 
-        n_veh = vehicles.n
-        contents = vehicles.active_content
-        hits = np.zeros((n_sizes, n_sub, n_stations), dtype=np.int64)
-        continuity = [0] * n_sizes
-        handovers = 0
-
-        # Trajectories are closed-form per epoch; evaluate them in equal
-        # blocks of at most 1M vehicle-steps and 2M per-size hit flags, to
-        # bound the working set. Each block evaluates its start row and one
-        # row per step, so row j starts step j and row j + 1 ends it.
-        # Everything but prefetch and the cache lookups is worked out once
-        # for a whole block; only those two follow the step order, since a
-        # prefetch changes what later lookups see.
-        longest = max(1, min(1_000_000 // max(n_veh, 1), 2_000_000 // max(n_veh * n_sizes, 1)))
-        block = math.ceil(n_sub / math.ceil(n_sub / longest))
-        for s0 in range(0, n_sub, block) if n_veh else ():
-            s1 = min(s0 + block, n_sub)
-            nb = s1 - s0
-            positions = vehicles.positions_at(np.arange(s0, s1 + 1) * dt, hw)
-            cells = cell_indices(positions, hw)
-            crossed = cells[1:] != cells[:-1]
-            changed = crossed.any(axis=1)
-            lookup = cells[1:] * (sc.n_files + 1) + contents
-            cached = np.empty((nb, n_sizes, n_veh), dtype=bool)
-
-            if prefetching:
-                # handover lookahead from each step's start, most urgent first
-                flat, nxt, eta = handovers_from_arrays(
-                    positions[:-1], cells[:-1], vehicles.direction, vehicles.speed, hw, horizon=dt
-                )
-                step = flat // n_veh
-                ahead = contents[flat % n_veh]
-                order = np.lexsort((ahead, nxt, eta, step))
-                bounds = np.searchsorted(step, np.arange(nb + 1)).tolist()
-                pairs = list(zip(nxt[order].tolist(), ahead[order].tolist()))
-
-            for j in range(nb):
-                if prefetching and changed[j] and bounds[j] < bounds[j + 1]:
-                    requests = pairs[bounds[j]:bounds[j + 1]]
-                    for cache in prefetching:
-                        for pair in plan_prefetch(requests, cache, sc.prefetch_budget):
-                            cache.prefetch_insert(pair)
-                flat_masks.take(lookup[j], axis=1, out=cached[j])
-
-            # (step, cell) slot of every vehicle, counted per size
-            slots = np.arange(nb)[:, None] * n_stations + cells[1:]
-            for k in range(n_sizes):
-                hit = cached[:, k]
-                hits[k, s0:s1] = np.bincount(slots[hit], minlength=nb * n_stations).reshape(nb, n_stations)
-                continuity[k] += int(np.count_nonzero(crossed & hit))
-            handovers += int(np.count_nonzero(crossed))
-            # free this block's arrays before the next block, or epoch, allocates its own
-            positions = cells = crossed = lookup = cached = slots = hit = pairs = None
-
-        yield [DemandEpoch(t0, n_veh, hits[k], handovers, continuity[k]) for k in range(n_sizes)]
+        start = masks.copy()
+        guesses = _guess_crossings(vehicles, hw, dt, n_sub)
+        segments = _segments(*_sample_cells(vehicles, hw, dt, n_sub, guesses), n_sub)
+        seg_veh, cell, a, b, crossed = segments
+        logs = [[] for _ in stores]
+        if prefetching:
+            staging = [k for k, cache in enumerate(stores) if cache.prefetch_capacity]
+            popular = np.min([stores[k].n_popular for k in staging], axis=0)
+            requests = _requests(vehicles, hw, dt, n_sub, (seg_veh[crossed], a[crossed] + 1), popular)
+            for k in staging:
+                logs[k] = _stage(stores[k], requests, sc.prefetch_budget)
+        flips = _flips(logs, start, n_sub)
+        hits, continuity = _count_hits(segments, vehicles.active_content, start, flips, n_sub)
+        handovers = int(np.count_nonzero(crossed))
+        occupancy = _step_sums(a * n_stations + cell, b * n_stations + cell, (1, n_sub + 1, n_stations))
+        _check_demand(hits, occupancy, handovers, continuity)
+        yield [DemandEpoch(t0, vehicles.n, hits[k], handovers, continuity[k]) for k in range(n_sizes)]
         # the consumer drops its epochs too, so two epochs' hits never coexist
         del hits
 
@@ -323,6 +541,23 @@ def _check_ledger(bank: Battery, steps: int) -> None:
             f"battery ledger residual {residual:.3e} exceeds its rounding bound "
             f"{bound:.3e} after {steps} steps"
         )
+
+
+def _check_served(
+    served: np.ndarray, hits: np.ndarray, quotas: np.ndarray, active: np.ndarray, max_users: int
+) -> None:
+    """Raise when a station serves a negative count, serves asleep, or serves past its cap.
+
+    The cap is ``min(hits, quota, max_users)``; a sleeping station's quota is 0.
+    """
+    cap = np.minimum(np.minimum(hits, quotas), max_users)
+    if not np.any((served < 0) | (served > cap) | ((served != 0) & ~active)):
+        return
+    if np.any(served < 0):
+        raise RuntimeError(f"energy pass served {int(served.min())} users at a station")
+    if np.any(served[:, ~active]):
+        raise RuntimeError("energy pass served users at a sleeping station")
+    raise RuntimeError("energy pass served more users than min(hits, quota, max_users)")
 
 
 class _EnergyPass:
@@ -375,6 +610,7 @@ class _EnergyPass:
             served = greedy_small_step(pm, hits, delivered, sc.greedy_partial)
             pushes = defers = 0
         _check_ledger(self.bank, (len(self.epochs) + 1) * self.n_sub)
+        _check_served(served, hits, quotas, active, pm.max_users)
         scs = int(served.sum())
         n_hits = int(hits.sum())
         offered = demand.n_vehicles * self.n_sub

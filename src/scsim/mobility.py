@@ -55,15 +55,20 @@ class VehicleSet:
     def n(self) -> int:
         return self.position.shape[0]
 
-    def positions_at(self, dt, highway: Highway) -> np.ndarray:
+    def positions_at(self, dt, highway: Highway, vehicles: np.ndarray | None = None) -> np.ndarray:
         """Positions after ``dt`` seconds of constant-speed travel.
 
         ``dt`` may be a scalar or an array of elapsed times; an array is
-        broadcast to a ``(len(dt), n)`` trajectory matrix.
+        broadcast to a ``(len(dt), n)`` trajectory matrix. Given
+        ``vehicles``, an index array shaped like ``dt``, entry ``i`` is
+        instead vehicle ``vehicles[i]`` after ``dt[i]`` seconds. Both forms
+        apply the same operations to each entry, so they give the same bits.
         """
         dt = np.asarray(dt, dtype=np.float64)
-        drift = np.multiply.outer(dt, self.direction * self.speed)
-        return (self.position + drift) % highway.length
+        if vehicles is None:
+            vehicles, dt = slice(None), dt[..., None]
+        velocity = self.direction[vehicles] * self.speed
+        return (self.position[vehicles] + dt * velocity) % highway.length
 
 
 @dataclass(frozen=True)

@@ -459,7 +459,7 @@ SWEEP_CASES = {
     "battery-50": replace(SWEEP_BASE, battery_capacity=50.0),
     "zero-density": replace(SWEEP_BASE, traffic=TrafficProfile(base_density=0.0, enabled=False)),
     "two-second-steps": replace(SWEEP_BASE, step_seconds=2),
-    # enough vehicles that the sweep splits each epoch into several blocks
+    # some 2,000 vehicles, each crossing a cell every 40 steps
     "dense-traffic": replace(SWEEP_BASE, traffic=TrafficProfile(base_density=0.1, enabled=False), duration=900),
 }
 # no cache, sizes without prefetch slots (1 and 2 give the popular
@@ -612,6 +612,65 @@ def test_run_raises_when_fallback_ledger_drifts(monkeypatch, policy):
     assert leaks and steps == []
 
 
+@pytest.mark.parametrize(
+    "fault, message",
+    [
+        ("negative", "counted -1 hits"),
+        ("excess", "more hits in a cell than vehicles in it"),
+        ("continuity", "continued handovers of"),
+    ],
+)
+def test_run_raises_when_demand_counts_break(monkeypatch, fault, message):
+    real = engine._count_hits
+
+    def broken(*args):
+        hits, continuity = real(*args)
+        if fault == "negative":
+            hits[0, -1, -1] = -1
+        elif fault == "excess":
+            hits[0, -1, -1] = 10**9
+        else:
+            continuity = [c + 10**9 for c in continuity]
+        return hits, continuity
+
+    monkeypatch.setattr(engine, "_count_hits", broken)
+    with pytest.raises(RuntimeError, match=message):
+        run(QUICK)
+
+
+# stations start empty at night and sleep; under a constant harvest they serve
+DAYLIT = replace(QUICK, energy=EnergyProfile(kind="constant", peak_rate=1.0))
+
+
+@pytest.mark.parametrize(
+    "sc, rule, fault, message",
+    [
+        (replace(DAYLIT, policy="greedy"), "greedy_small_step", "negative", "served -1 users"),
+        (DAYLIT, "sustainable_small_step", "negative", "served -1 users"),
+        (QUICK, "sustainable_small_step", "asleep", "sleeping station"),
+        (replace(DAYLIT, policy="greedy"), "greedy_small_step", "above", r"min\(hits, quota, max_users\)"),
+        (DAYLIT, "sustainable_small_step", "above", r"min\(hits, quota, max_users\)"),
+    ],
+)
+def test_run_raises_when_serving_breaks(monkeypatch, sc, rule, fault, message):
+    real = getattr(engine, rule)
+
+    def broken(*args):
+        out = real(*args)
+        served, rest = (out, ()) if rule == "greedy_small_step" else (out[0], out[1:])
+        if fault == "negative":
+            served = np.zeros_like(served) - 1
+        elif fault == "asleep":
+            served = np.where(args[5], served, 1)
+        else:
+            served = served + 1
+        return served if rule == "greedy_small_step" else (served, *rest)
+
+    monkeypatch.setattr(engine, rule, broken)
+    with pytest.raises(RuntimeError, match=message):
+        run(sc)
+
+
 def assert_blocks_cover_every_step(sc, blocks):
     """Each epoch's passes start at its first step and book every step once."""
     n_sub = sc.epoch_seconds // sc.step_seconds
@@ -720,7 +779,7 @@ def reference_trace(sc):
 @pytest.mark.parametrize("policy", ["sustainable", "greedy"])
 def test_run_matches_single_loop_reference(policy):
     rng = np.random.default_rng(20261018)
-    # dense enough that the engine splits its epoch into blocks
+    # over a million vehicle-steps and some 45,000 cell crossings in one epoch
     dense = Scenario(
         traffic=TrafficProfile(base_density=0.1, enabled=False),
         energy=EnergyProfile(kind="constant", peak_rate=1.0),

@@ -177,6 +177,22 @@ class TestAdvance:
         direct = veh.positions_at(50.0, HW)
         np.testing.assert_allclose(stepwise, direct, atol=1e-7)
 
+    def test_gathered_positions_equal_the_matrix_bit_for_bit(self):
+        rng = np.random.default_rng(22)
+        for _ in range(50):
+            cell = float(rng.choice([333.3, 123.456789, rng.uniform(50.0, 1500.0)]))
+            hw = Highway(int(rng.integers(1, 13)), cell)
+            speed = float(rng.uniform(3.0, 60.0))
+            veh = spawn_vehicles(float(rng.uniform(0.001, 0.03)), hw, CAT, rng, speed=speed)
+            times = np.arange(int(rng.integers(1, 200))) * float(rng.integers(1, 6))
+            matrix = veh.positions_at(times, hw)
+            rows = rng.integers(0, times.size, size=300)
+            vehicles = rng.integers(0, max(veh.n, 1), size=300) if veh.n else np.zeros(0, np.int64)
+            rows = rows[: vehicles.size]
+            gathered = veh.positions_at(times[rows], hw, vehicles)
+            assert gathered.shape == rows.shape
+            assert [x.hex() for x in gathered.tolist()] == [x.hex() for x in matrix[rows, vehicles].tolist()]
+
 
 class TestCellIndex:
     def test_boundary_belongs_to_higher_cell(self):
