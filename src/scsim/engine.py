@@ -19,11 +19,13 @@ The demand pass works per event, not per vehicle-step. Every vehicle
 shares one speed, so it changes cell only every ``cell_length / (speed *
 step)`` steps. The pass finds each vehicle's cell crossings by
 evaluating its exact cell on a few rows around each predicted one, and
-cuts its steps into runs of one cell. Only steps with a crossing stage
-prefetches, and each insert and eviction is logged as a change of one
-(station, content) slot. A run's hits are its slot's state over its
-steps, so one difference array over (step, cell), fed by the runs and
-the logged changes, gives every step's hits with one cumulative sum.
+cuts its steps into runs of one cell; the handover lookahead is taken on
+rows read off the runs. Only steps with a crossing stage prefetches, and
+each size logs every insert and eviction as a change of one (station,
+content) slot of its own mask. A run's hits are its slot's state over
+its steps, so per size one difference array over (step, cell), fed by
+the runs and that size's logged changes, gives every step's hits with
+one cumulative sum.
 
 Everything is driven by one seeded generator in a fixed consumption
 order, so a scenario and a seed pin the full output byte-for-byte.
@@ -317,36 +319,30 @@ def _segments(veh: np.ndarray, row: np.ndarray, cells: np.ndarray, n_sub: int):
     return seg_veh, cells[start], np.maximum(first - 1, 0), end - 1, first > 0
 
 
-def _requests(vehicles: VehicleSet, hw: Highway, dt: float, n_sub: int, crossings, popular: np.ndarray):
+def _requests(vehicles: VehicleSet, hw: Highway, dt: float, n_sub: int, segments, popular: np.ndarray):
     """Handover lookahead of every step that has a crossing, most urgent first.
 
-    ``crossings`` is ``(vehicle, row)`` of every crossing, sorted. Returns
-    ``(step, station, content)`` ordered by step, then arrival time, next
-    cell and content. When steps are short (:func:`_short_steps`), a
-    vehicle's requests come from the two rows before each of its
-    crossings, the crossing row itself, and the epoch's last two rows;
-    only those rows are evaluated, each once. Otherwise every row is.
-    Requests for ids up to ``popular[station]``, which every size caches
-    all epoch, are dropped before sorting.
+    ``segments`` are the vehicles' runs from :func:`_segments`; a crossing
+    step is the ``a`` of a crossed run. Returns ``(step, station,
+    content)`` ordered by step, then arrival time, next cell and content.
+    When steps are short (:func:`_short_steps`), a run's rows are its end
+    ``min(b + 1, n_sub)`` (the crossing that ends it, or the epoch's end)
+    and the two rows before it, below ``n_sub`` and past the vehicle's
+    previous run's end, so each row is evaluated once. Otherwise a run's
+    rows are its steps ``[a, b)``, so every row is. Requests for ids up to
+    ``popular[station]``, which every staging size caches all epoch, are
+    dropped before sorting.
     """
-    cv, cr = crossings
+    seg_veh, _, a, b, crossed = segments
     changed = np.zeros(n_sub, dtype=bool)
-    changed[cr - 1] = True
-    # inclusive row ranges, one per crossing and one per vehicle for the epoch's end
-    every = np.arange(vehicles.n)
-    owners, lo, hi = every, np.zeros(vehicles.n, np.int64), np.full(vehicles.n, n_sub - 1)
+    changed[a[crossed]] = True
+    lo, hi = a, b
     if _short_steps(vehicles, hw, dt):
-        top = np.minimum(cr, n_sub - 1)
-        # a vehicle's ranges start past its previous one, so no row comes twice
-        prev = np.where(np.diff(cv, prepend=-1) != 0, -1, np.roll(top, 1))
-        last = np.full(vehicles.n, -1)
-        tail = np.diff(cv, append=-1) != 0
-        last[cv[tail]] = top[tail]
-        owners = np.concatenate((cv, every))
-        lo = np.concatenate((np.maximum(cr - 2, prev + 1), np.maximum(last + 1, max(n_sub - 2, 0))))
-        hi = np.concatenate((top, hi))
-    owner, rows = _spans(lo, np.maximum(hi - lo + 1, 0))
-    veh = owners[owner]
+        end = np.minimum(b + 1, n_sub)
+        prev = np.where(np.diff(seg_veh, prepend=-1) != 0, -1, np.roll(end, 1))
+        lo, hi = np.maximum(end - 2, prev + 1), np.minimum(end, n_sub - 1) + 1
+    owner, rows = _spans(lo, np.maximum(hi - lo, 0))
+    veh = seg_veh[owner]
     gated = changed[rows]
     veh, rows = veh[gated], rows[gated]
     positions = vehicles.positions_at(rows * dt, hw, veh)
@@ -385,25 +381,20 @@ def _stage(cache: CacheStore, requests, budget: int) -> list[tuple[int, int, int
     return log
 
 
-def _flips(logs: list[list], start: np.ndarray, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
+def _flips(log: list, start: np.ndarray, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
     """The logged slots' changes of state, as sorted keys ``slot * (n_sub + 1) + step`` and new states.
 
-    ``logs[k]`` is size ``k``'s log from :func:`_stage`; a slot is a flat
-    index into the ``(n_sizes, n_stations, n_files + 1)`` masks, whose
-    epoch-start copy is ``start``. A step's last entry for a slot is its
-    state at that step's lookup; an entry that keeps the state is no flip.
+    ``log`` is one size's log from :func:`_stage`; a slot is a flat index
+    into that size's ``(n_stations, n_files + 1)`` mask, whose epoch-start
+    copy is ``start``. A step's last entry for a slot is its state at that
+    step's lookup; an entry that keeps the state is no flip.
     """
-    _, n_stations, n_cols = start.shape
-    slots, steps, states = [], [], []
-    for k, log in enumerate(logs):
-        step, station, content, touched, state = np.array(log, dtype=np.int64).reshape(-1, 5).T
-        base = (k * n_stations + station) * n_cols
-        # each insert is two entries, in order: its own id, now cached, then the touched id
-        slots.append(np.stack((base + content, base + touched), axis=1).ravel())
-        steps.append(np.repeat(step, 2))
-        states.append(np.stack((np.ones_like(state), state), axis=1).ravel())
-    slot, step, state = (np.concatenate(x) for x in (slots, steps, states))
-    keys = slot * (n_sub + 1) + step
+    step, station, content, touched, state = np.array(log, dtype=np.int64).reshape(-1, 5).T
+    base = station * start.shape[1]
+    # each insert is two entries, in order: its own id, now cached, then the touched id
+    slot = np.stack((base + content, base + touched), axis=1).ravel()
+    state = np.stack((np.ones_like(state), state), axis=1).ravel()
+    keys = slot * (n_sub + 1) + np.repeat(step, 2)
     order = np.argsort(keys, kind="stable")
     last = np.diff(keys[order], append=-1) != 0
     keys, slot, state = keys[order][last], slot[order][last], state[order][last] != 0
@@ -413,15 +404,15 @@ def _flips(logs: list[list], start: np.ndarray, n_sub: int) -> tuple[np.ndarray,
     return keys[flip], state[flip]
 
 
-def _step_sums(plus: np.ndarray, minus: np.ndarray, shape: tuple[int, int, int]) -> np.ndarray:
-    """Running sums over axis 1 of a difference array given as flat +1 and -1 positions; last row dropped."""
-    size = math.prod(shape)
+def _step_sums(plus: np.ndarray, minus: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """Running sums down the rows of a difference array given as flat +1 and -1 positions; last row dropped."""
+    size = shape[0] * shape[1]
     diff = np.bincount(plus, minlength=size) - np.bincount(minus, minlength=size)
-    return np.cumsum(diff.reshape(shape), axis=1)[:, :-1]
+    return np.cumsum(diff.reshape(shape), axis=0)[:-1]
 
 
-def _count_hits(segments, contents: np.ndarray, start: np.ndarray, flips, n_sub: int):
-    """Hits per (size, step, cell) and continuity per size, from one difference array.
+def _count_hits(segments, contents: np.ndarray, start: np.ndarray, flips, n_sub: int) -> tuple[np.ndarray, int]:
+    """One size's hits per (step, cell) and its continuity, from one difference array.
 
     A run of one cell looks up one slot, its cell's bit for its content,
     over steps ``[a, b)``. The slot starts the run in its state after its
@@ -431,9 +422,8 @@ def _count_hits(segments, contents: np.ndarray, start: np.ndarray, flips, n_sub:
     Continuity counts the runs entered by a crossing that start on.
     """
     seg_veh, cell, a, b, crossed = segments
-    n_sizes, n_stations, n_cols = start.shape
-    size = np.arange(n_sizes)[:, None]
-    slot = (size * n_stations + cell) * n_cols + contents[seg_veh]
+    n_stations, n_cols = start.shape
+    slot = cell * n_cols + contents[seg_veh]
     on_a = on_b = start.reshape(-1)[slot]
     keys, states = flips
     plus, minus = [], []
@@ -444,24 +434,24 @@ def _count_hits(segments, contents: np.ndarray, start: np.ndarray, flips, n_sub:
         mine = (lo > 0) & (keys[lo - 1] >= base)
         on_a = np.where(mine, states[lo - 1], on_a)
         on_b = np.where(hi > lo, states[hi - 1], on_a)
-        run, flip = _spans(lo.ravel(), (hi - lo).ravel())
-        at = (run // cell.size * (n_sub + 1) + keys[flip] % (n_sub + 1)) * n_stations + cell[run % cell.size]
+        run, flip = _spans(lo, hi - lo)
+        at = keys[flip] % (n_sub + 1) * n_stations + cell[run]
         plus.append(at[states[flip]])
         minus.append(at[~states[flip]])
-    plus.append(((size * (n_sub + 1) + a) * n_stations + cell)[on_a])
-    minus.append(((size * (n_sub + 1) + b) * n_stations + cell)[on_b])
-    hits = _step_sums(np.concatenate(plus), np.concatenate(minus), (n_sizes, n_sub + 1, n_stations))
-    return hits, np.count_nonzero(on_a & crossed, axis=1).tolist()
+    plus.append((a * n_stations + cell)[on_a])
+    minus.append((b * n_stations + cell)[on_b])
+    hits = _step_sums(np.concatenate(plus), np.concatenate(minus), (n_sub + 1, n_stations))
+    return hits, int(np.count_nonzero(on_a & crossed))
 
 
-def _check_demand(hits: np.ndarray, occupancy: np.ndarray, handovers: int, continuity: list[int]) -> None:
+def _check_demand(hits: np.ndarray, occupancy: np.ndarray, handovers: int, continuity: int) -> None:
     """Raise when an epoch's counts break what any lookup gives: 0 <= hits <= vehicles in the cell."""
     if np.any(hits < 0):
         raise RuntimeError(f"demand pass counted {int(hits.min())} hits in a cell at a step")
     if np.any(hits > occupancy):
         raise RuntimeError("demand pass counted more hits in a cell than vehicles in it")
-    if max(continuity) > handovers:
-        raise RuntimeError(f"demand pass counted {max(continuity)} continued handovers of {handovers}")
+    if continuity > handovers:
+        raise RuntimeError(f"demand pass counted {continuity} continued handovers of {handovers}")
 
 
 def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpoch]]:
@@ -471,26 +461,25 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
     under one backhaul draw per station, then works per event, not per
     vehicle-step. It finds each vehicle's cell crossings (exact cells on
     a few rows around each guessed one), cuts its steps into runs of one
-    cell, and stages the prefetches of every step with a crossing, in
-    step order, logging each slot an insert or eviction touches. Hits and
-    continuity then follow from the runs, their slots' epoch-start states
-    and the log, as :func:`_count_hits` describes; the counts are those a
-    lookup of every vehicle at every step would give, and are checked.
-    The random stream is consumed in that fixed order, and no cache state
-    feeds it, so one pass serves several cache sizes: it moves the
-    vehicles once and yields, each epoch, one :class:`DemandEpoch` per
-    entry of ``capacities``, each as its own single-size pass would.
+    cell, and takes the handover lookahead of all sizes from the runs.
+    Each size then stages the prefetches of every step with a crossing,
+    in step order, logging each slot an insert or eviction touches, and
+    counts its hits and continuity from the runs, its mask at the epoch
+    start and its log, as :func:`_count_hits` describes; the counts are
+    those a lookup of every vehicle at every step would give, and are
+    checked. The random stream is consumed in that fixed order, and no
+    cache state feeds it, so one pass serves several cache sizes: it moves
+    the vehicles once and yields, each epoch, one :class:`DemandEpoch`
+    per entry of ``capacities``, each as its own single-size pass would.
     """
     hw = sc.highway
     n_stations = hw.n_stations
-    n_sizes = len(capacities)
     catalog = build_catalog(sc.n_files, sc.gamma)
     rng = np.random.default_rng(sc.seed)
 
-    masks = np.zeros((n_sizes, n_stations, sc.n_files + 1), dtype=bool)
-    stores = [CacheStore(c, sc.split_ratio, mask=masks[k]) for k, c in enumerate(capacities)]
+    stores = [CacheStore(c, sc.split_ratio, mask=np.zeros((n_stations, sc.n_files + 1), bool)) for c in capacities]
     # only the sizes with prefetch slots stage anything ahead of a handover
-    prefetching = sc.prefetch_budget > 0 and any(cache.prefetch_capacity for cache in stores)
+    staging = [cache for cache in stores if cache.prefetch_capacity and sc.prefetch_budget > 0]
     dt = float(sc.step_seconds)
     n_sub = sc.epoch_seconds // sc.step_seconds
 
@@ -504,25 +493,25 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
                 plan_popular_update(cache.n_popular, catalog, budgets, cache.popular_capacity)
             )
 
-        start = masks.copy()
         guesses = _guess_crossings(vehicles, hw, dt, n_sub)
         segments = _segments(*_sample_cells(vehicles, hw, dt, n_sub, guesses), n_sub)
-        seg_veh, cell, a, b, crossed = segments
-        logs = [[] for _ in stores]
-        if prefetching:
-            staging = [k for k, cache in enumerate(stores) if cache.prefetch_capacity]
-            popular = np.min([stores[k].n_popular for k in staging], axis=0)
-            requests = _requests(vehicles, hw, dt, n_sub, (seg_veh[crossed], a[crossed] + 1), popular)
-            for k in staging:
-                logs[k] = _stage(stores[k], requests, sc.prefetch_budget)
-        flips = _flips(logs, start, n_sub)
-        hits, continuity = _count_hits(segments, vehicles.active_content, start, flips, n_sub)
+        _, cell, a, b, crossed = segments
+        if staging:
+            popular = np.min([cache.n_popular for cache in staging], axis=0)
+            requests = _requests(vehicles, hw, dt, n_sub, segments, popular)
         handovers = int(np.count_nonzero(crossed))
-        occupancy = _step_sums(a * n_stations + cell, b * n_stations + cell, (1, n_sub + 1, n_stations))
-        _check_demand(hits, occupancy, handovers, continuity)
-        yield [DemandEpoch(t0, vehicles.n, hits[k], handovers, continuity[k]) for k in range(n_sizes)]
+        occupancy = _step_sums(a * n_stations + cell, b * n_stations + cell, (n_sub + 1, n_stations))
+        demands = []
+        for cache in stores:
+            start = cache.mask.copy()
+            log = _stage(cache, requests, sc.prefetch_budget) if cache in staging else []
+            flips = _flips(log, start, n_sub)
+            hits, continuity = _count_hits(segments, vehicles.active_content, start, flips, n_sub)
+            _check_demand(hits, occupancy, handovers, continuity)
+            demands.append(DemandEpoch(t0, vehicles.n, hits, handovers, continuity))
+        yield demands
         # the consumer drops its epochs too, so two epochs' hits never coexist
-        del hits
+        del demands, hits
 
 
 def _check_ledger(bank: Battery, steps: int) -> None:

@@ -132,9 +132,9 @@ def test_lookahead_matches_the_matrix(shift):
         hw, vehicles, dt, n_sub = random_block(rng)
         guesses = engine._guess_crossings(vehicles, hw, dt, n_sub)
         sampled = engine._sample_cells(vehicles, hw, dt, n_sub, None if guesses is None else guesses + shift)
-        seg_veh, _, a, _, crossed = engine._segments(*sampled, n_sub)
+        segments = engine._segments(*sampled, n_sub)
         popular = rng.integers(0, 10, hw.n_stations)
-        got = engine._requests(vehicles, hw, dt, n_sub, (seg_veh[crossed], a[crossed] + 1), popular)
+        got = engine._requests(vehicles, hw, dt, n_sub, segments, popular)
         want = matrix_requests(hw, vehicles, dt, n_sub, popular)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
@@ -188,14 +188,14 @@ def test_hit_counts_match_a_lookup_per_step():
         _, cells = matrix(hw, vehicles, dt, n_sub)
         guesses = engine._guess_crossings(vehicles, hw, dt, n_sub)
         segments = engine._segments(*engine._sample_cells(vehicles, hw, dt, n_sub, guesses), n_sub)
-        hits, continuity = engine._count_hits(
-            segments, vehicles.active_content, start, engine._flips(logs, start, n_sub), n_sub
-        )
         crossed = cells[1:] != cells[:-1]
         for k in range(n_sizes):
+            hits, continuity = engine._count_hits(
+                segments, vehicles.active_content, start[k], engine._flips(logs[k], start[k], n_sub), n_sub
+            )
             cached = np.array([after[k][s][cells[s + 1], vehicles.active_content] for s in range(n_sub)])
             cached = cached.reshape(n_sub, vehicles.n)
             want = np.stack([np.bincount(cells[s + 1][cached[s]], minlength=hw.n_stations)
                              for s in range(n_sub)])
-            np.testing.assert_array_equal(hits[k], want)
-            assert continuity[k] == np.count_nonzero(crossed & cached)
+            np.testing.assert_array_equal(hits, want)
+            assert continuity == np.count_nonzero(crossed & cached)

@@ -626,11 +626,11 @@ def test_run_raises_when_demand_counts_break(monkeypatch, fault, message):
     def broken(*args):
         hits, continuity = real(*args)
         if fault == "negative":
-            hits[0, -1, -1] = -1
+            hits[-1, -1] = -1
         elif fault == "excess":
-            hits[0, -1, -1] = 10**9
+            hits[-1, -1] = 10**9
         else:
-            continuity = [c + 10**9 for c in continuity]
+            continuity += 10**9
         return hits, continuity
 
     monkeypatch.setattr(engine, "_count_hits", broken)
@@ -796,7 +796,25 @@ def test_run_matches_single_loop_reference(policy):
         duration=600,
         seed=14,
     )
-    scenarios = [random_scenario(rng) for _ in range(40)] + list(FALLBACK_CASES.values()) + [ulp_above, dense]
+    daylit = EnergyProfile(kind="constant", peak_rate=1.0)
+    # a step moves 1.9 cells of a two-cell ring: most cross two boundaries and
+    # land in the cell they left, so a vehicle stays ~10 steps in one cell
+    # while every step of it requests a handover
+    two_boundaries = Scenario(
+        highway=Highway(2, 300.0),
+        traffic=TrafficProfile(base_density=0.02, enabled=False),
+        speed=57.0,
+        energy=daylit,
+        epoch_seconds=300,
+        step_seconds=10,
+        duration=1800,
+    )
+    one_station = replace(two_boundaries, highway=Highway(1, 1000.0), speed=25.0, step_seconds=1)
+    # a stride of exactly a quarter cell is the longest sampled around guesses; just above it, every row is
+    quarter = replace(one_station, highway=Highway(4, 400.0), step_seconds=4)
+    above_quarter = replace(quarter, highway=Highway(4, 396.0))
+    fixed = [ulp_above, two_boundaries, one_station, quarter, above_quarter, dense]
+    scenarios = [random_scenario(rng) for _ in range(40)] + list(FALLBACK_CASES.values()) + fixed
     for sc in scenarios:
         sc = replace(sc, policy=policy)
         got, got_steps = engine_trace(sc)
@@ -805,3 +823,11 @@ def test_run_matches_single_loop_reference(policy):
         assert got_steps == want_steps
     n_veh = got_steps[0][1]
     assert n_veh * (dense.epoch_seconds // dense.step_seconds) > 1_000_000
+
+
+def test_wide_differential_run_agrees_on_25_scenarios(capsys):
+    # imported here: the script imports this module's helpers
+    import differential_run
+
+    differential_run.main(["--scenarios", "25", "--seed", "11"])
+    assert capsys.readouterr().out.startswith("checked 25 scenarios (seed 11): 50 oracle runs")
