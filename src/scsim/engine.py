@@ -20,12 +20,13 @@ shares one speed, so it changes cell only every ``cell_length / (speed *
 step)`` steps. The pass finds each vehicle's cell crossings by
 evaluating its exact cell on a few rows around each predicted one, and
 cuts its steps into runs of one cell; the handover lookahead is taken on
-rows read off the runs. Only steps with a crossing stage prefetches, and
-each size logs every insert and eviction as a change of one (station,
-content) slot of its own mask. A run's hits are its slot's state over
-its steps, so per size one difference array over (step, cell), fed by
-the runs and that size's logged changes, gives every step's hits with
-one cumulative sum.
+rows read off the runs. Only steps with a crossing request prefetches;
+each size plans the epoch's requests in one pass and inserts its picks
+in one call, and each pick sets one (station, content) slot of that
+size's mask and clears the slot of the id it removed. A run's hits are
+its slot's state over its steps, so per size one difference array over
+(step, cell), fed by the runs and those slot changes, gives every step's
+hits with one cumulative sum.
 
 Everything is driven by one seeded generator in a fixed consumption
 order, so a scenario and a seed pin the full output byte-for-byte.
@@ -230,6 +231,9 @@ class DemandEpoch:
 # crossing at row ``c - 1``, ``c`` or ``c + 1`` shows between two adjacent rows.
 _WINDOW = np.arange(-2, 2)
 
+# what a size without prefetch slots stages: no (step, station, content, removed) picks
+_NO_PICKS = (np.empty(0, dtype=np.int64),) * 4
+
 
 def _spans(lo: np.ndarray, counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Expand the ranges ``lo[i] .. lo[i] + counts[i] - 1``: (``i``, value) per element."""
@@ -356,48 +360,39 @@ def _requests(vehicles: VehicleSet, hw: Highway, dt: float, n_sub: int, segments
     return step[order], nxt[order], ahead[order]
 
 
-def _stage(cache: CacheStore, requests, budget: int) -> list[tuple[int, int, int, int, bool]]:
-    """Plan and insert each step's prefetches, logging what each insert touched.
+def _stage(cache: CacheStore, requests, budget: int) -> tuple[np.ndarray, ...]:
+    """Plan and insert one size's prefetches for the whole epoch.
 
-    Pairs whose id is in the destination's popular partition are dropped
-    first: those ids stay cached all epoch, so ``plan_prefetch`` would skip
-    them. Each insert logs ``(step, station, id, touched, state)``: its id
-    is now cached, and ``touched``, the id it evicted or else its own id,
-    is in the state ``cache.contains`` reads right after.
+    One ``plan_prefetch`` call picks from the epoch's requests and one
+    ``prefetch_insert`` call applies the picks. Returns ``(step, station,
+    content, removed)`` per pick: its id is cached from its step on, and
+    ``removed``, unless 0, is the id its insert took out of the mask.
     """
-    step, nxt, content = requests
-    keep = content > np.array(cache.n_popular)[nxt]
-    step, nxt, content = step[keep], nxt[keep], content[keep]
-    pairs = list(zip(nxt.tolist(), content.tolist()))
-    bounds = [0, *(np.flatnonzero(np.diff(step)) + 1).tolist(), step.size]
-    steps = step.tolist()
-    log = []
-    for lo, hi in zip(bounds[:-1], bounds[1:]) if steps else ():
-        for pair in plan_prefetch(pairs[lo:hi], cache, budget):
-            evicted = cache.prefetch_insert(pair)
-            station, content = pair
-            touched = content if evicted is None else evicted
-            log.append((steps[lo], station, content, touched, cache.contains(station, touched)))
-    return log
+    picks = plan_prefetch(requests, cache, budget)
+    step, station, content = (column[picks] for column in requests)
+    return step, station, content, cache.prefetch_insert((station, content))
 
 
-def _flips(log: list, start: np.ndarray, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
-    """The logged slots' changes of state, as sorted keys ``slot * (n_sub + 1) + step`` and new states.
+def _flips(staged, start: np.ndarray, n_sub: int) -> tuple[np.ndarray, np.ndarray]:
+    """The staged slots' changes of state, as sorted keys ``slot * (n_sub + 1) + step`` and new states.
 
-    ``log`` is one size's log from :func:`_stage`; a slot is a flat index
-    into that size's ``(n_stations, n_files + 1)`` mask, whose epoch-start
-    copy is ``start``. A step's last entry for a slot is its state at that
-    step's lookup; an entry that keeps the state is no flip.
+    ``staged`` is one size's picks from :func:`_stage`; a slot is a flat
+    index into that size's ``(n_stations, n_files + 1)`` mask, whose
+    epoch-start copy is ``start``. Each pick sets its own slot and then
+    clears the slot of the id it removed; a step's last entry for a slot
+    is its state at that step's lookup, and an entry that keeps the state
+    is no flip.
     """
-    step, station, content, touched, state = np.array(log, dtype=np.int64).reshape(-1, 5).T
+    step, station, content, removed = staged
     base = station * start.shape[1]
-    # each insert is two entries, in order: its own id, now cached, then the touched id
-    slot = np.stack((base + content, base + touched), axis=1).ravel()
-    state = np.stack((np.ones_like(state), state), axis=1).ravel()
+    slot = np.stack((base + content, base + removed), axis=1).ravel()
+    state = np.tile((True, False), step.size)
     keys = slot * (n_sub + 1) + np.repeat(step, 2)
+    real = np.stack((np.ones(step.size, dtype=bool), removed > 0), axis=1).ravel()
+    keys, slot, state = keys[real], slot[real], state[real]
     order = np.argsort(keys, kind="stable")
     last = np.diff(keys[order], append=-1) != 0
-    keys, slot, state = keys[order][last], slot[order][last], state[order][last] != 0
+    keys, slot, state = keys[order][last], slot[order][last], state[order][last]
     # a slot's state before its first entry is its epoch-start state
     before = np.where(np.diff(slot, prepend=-1) == 0, np.roll(state, 1), start.reshape(-1)[slot])
     flip = state != before
@@ -462,10 +457,10 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
     vehicle-step. It finds each vehicle's cell crossings (exact cells on
     a few rows around each guessed one), cuts its steps into runs of one
     cell, and takes the handover lookahead of all sizes from the runs.
-    Each size then stages the prefetches of every step with a crossing,
-    in step order, logging each slot an insert or eviction touches, and
-    counts its hits and continuity from the runs, its mask at the epoch
-    start and its log, as :func:`_count_hits` describes; the counts are
+    Each size then stages the epoch's prefetches with one plan and one
+    insert (:func:`_stage`), and counts its hits and continuity from the
+    runs, its mask at the epoch start and the slots its picks set and
+    cleared, as :func:`_count_hits` describes; the counts are
     those a lookup of every vehicle at every step would give, and are
     checked. The random stream is consumed in that fixed order, and no
     cache state feeds it, so one pass serves several cache sizes: it moves
@@ -504,8 +499,8 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
         demands = []
         for cache in stores:
             start = cache.mask.copy()
-            log = _stage(cache, requests, sc.prefetch_budget) if cache in staging else []
-            flips = _flips(log, start, n_sub)
+            staged = _stage(cache, requests, sc.prefetch_budget) if cache in staging else _NO_PICKS
+            flips = _flips(staged, start, n_sub)
             hits, continuity = _count_hits(segments, vehicles.active_content, start, flips, n_sub)
             _check_demand(hits, occupancy, handovers, continuity)
             demands.append(DemandEpoch(t0, vehicles.n, hits, handovers, continuity))

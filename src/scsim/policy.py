@@ -4,7 +4,10 @@ Planning functions are pure: they look at arrays of station state and
 return plans or decisions, never mutating caches. The epoch-scale planner
 decides which stations stay active and their user quotas from the energy
 outlook; the step-scale controller throttles the actual serving level to
-what the battery and the instantaneous harvest can afford.
+what the battery and the instantaneous harvest can afford. The prefetch
+planner picks a whole epoch's handover prefetches in one pass, reading
+each station's FIFO as its last inserts, and the cache applies them
+after in one call.
 """
 from __future__ import annotations
 
@@ -89,29 +92,57 @@ def plan_popular_update(
 
 
 def plan_prefetch(
-    requests: list[tuple[int, int]],
+    requests: tuple[np.ndarray, np.ndarray, np.ndarray],
     cache: CacheStore,
     budget_per_station: int,
-) -> list[tuple[int, int]]:
-    """Pick contents to stage ahead of predicted handovers.
+) -> np.ndarray:
+    """Pick an epoch's contents to stage ahead of predicted handovers.
 
-    ``requests`` holds ``(station_index, content)`` pairs, most urgent
-    first; earlier pairs win scarce budget. Contents already in either
-    partition of the destination's cache in the bank ``cache`` are
-    skipped, as are duplicate pairs. Returns the picked pairs in request
-    order; apply each with ``cache.prefetch_insert`` once planning is done.
+    ``requests`` holds ``(step, station, content)`` arrays ordered by step
+    and, within a step, most urgent first; earlier requests win a station's
+    scarce per-step budget. A station's prefetch FIFO is its last
+    ``cache.prefetch_capacity`` inserts, so its insert sequence, the FIFO
+    now followed by the station's picks in order, tells what it holds at
+    any step. A request is skipped when its id is cached at the destination
+    at the start of its step (popular, or among the station's last
+    ``prefetch_capacity`` inserts by then) or was picked earlier in the
+    step: exactly what planning each step against the cache, and inserting
+    its picks only after, skips. A bank without prefetch slots gets no
+    picks. Returns the indices of the picked requests in request order;
+    apply them with one ``cache.prefetch_insert`` call.
     """
     if budget_per_station < 0:
         raise ValueError("budget_per_station must be >= 0")
-    plan: list[tuple[int, int]] = []
-    taken: dict[int, int] = {}
-    for pair in requests:
-        st_idx, content = pair
-        n = taken.get(st_idx, 0)
-        if n < budget_per_station and pair not in plan and not cache.contains(st_idx, content):
-            plan.append(pair)
-            taken[st_idx] = n + 1
-    return plan
+    step, station, content = (np.asarray(a, dtype=np.int64) for a in requests)
+    cap = cache.prefetch_capacity
+    if cap == 0:
+        return np.empty(0, dtype=np.int64)
+    width = cache.mask.shape[1]
+    candidates = np.flatnonzero(content > np.array(cache.n_popular, dtype=np.int64)[station])
+    station = station[candidates]
+    # (station, id) -> the id's latest position in the station's insert
+    # sequence, which starts with the FIFO's cap slots, oldest first
+    rows, cols = np.nonzero(cache.fifo)
+    last = dict(zip((rows * width + cache.fifo[rows, cols]).tolist(), cols.tolist()))
+    count = [cap] * len(cache.n_popular)
+    picks = []
+    now = None
+    for k, s, st, key in zip(
+        candidates.tolist(),
+        step[candidates].tolist(),
+        station.tolist(),
+        (station * width + content[candidates]).tolist(),
+    ):
+        if s != now:
+            now, taken = s, [0] * len(count)
+        t = taken[st]
+        # held at the step's start, before its t picks so far: among the last cap inserts then
+        if t < budget_per_station and last.get(key, -1) < count[st] - t - cap:
+            taken[st] = t + 1
+            last[key] = count[st]
+            count[st] += 1
+            picks.append(k)
+    return np.array(picks, dtype=np.int64)
 
 
 def sustainable_large_step(

@@ -2,7 +2,6 @@
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -47,13 +46,15 @@ class CacheStore:
     prefix ``1..n_popular[station]``: the epoch-scale update only ever grows
     it, up to ``ceil(split_ratio * capacity)`` ids. The rest of the capacity
     is the station's prefetch FIFO, which evicts its oldest entry when full.
-    ``mask``, a boolean ``(n_stations, n_files + 1)`` block indexed by station
-    and content id, is the one membership record, so bulk lookups stay O(1).
-    The per-prefetch methods index its rows and keep ``n_popular`` as ints:
-    2-D and numpy-scalar reads there double their cost.
+    An insert never targets an id its station holds, so a FIFO is exactly its
+    station's last ``prefetch_capacity`` inserts: ``fifo`` holds them, one
+    row per station, oldest first, with 0 in the slots of inserts not yet
+    made. ``mask``, a boolean ``(n_stations, n_files + 1)`` block indexed by
+    station and content id, is the one membership record, so bulk lookups
+    stay O(1).
     """
 
-    __slots__ = ("popular_capacity", "prefetch_capacity", "n_popular", "_fifos", "mask", "_rows")
+    __slots__ = ("popular_capacity", "prefetch_capacity", "n_popular", "fifo", "mask")
 
     def __init__(self, capacity: int, split_ratio: float = 0.8, *, mask: np.ndarray):
         if capacity < 0:
@@ -63,16 +64,13 @@ class CacheStore:
         self.popular_capacity = min(int(capacity), math.ceil(split_ratio * capacity))
         self.prefetch_capacity = int(capacity) - self.popular_capacity
         self.n_popular = [0] * len(mask)
-        self._fifos: list[deque[int]] = [deque() for _ in range(len(mask))]
+        self.fifo = np.zeros((len(mask), self.prefetch_capacity), dtype=np.int64)
         self.mask = mask
-        self._rows = list(mask)
 
     def prefetch(self, station: int) -> list[int]:
         """A station's prefetch contents, oldest first."""
-        return list(self._fifos[station])
-
-    def contains(self, station: int, content: int) -> bool:
-        return bool(self._rows[station][content])
+        row = self.fifo[station]
+        return row[row > 0].tolist()
 
     def apply_popular_update(self, n: np.ndarray) -> None:
         """Grow each station's popular partition to ids ``1..n[station]``; none ever shrinks."""
@@ -84,23 +82,46 @@ class CacheStore:
         self.mask[:, 1 : top + 1] |= np.arange(1, top + 1) <= n[:, None]
         self.n_popular = n.tolist()
 
-    def prefetch_insert(self, pair: tuple[int, int]) -> int | None:
-        """Insert ``(station, content)`` into that station's FIFO; returns the id it evicts, if any.
+    def prefetch_insert(self, picks: tuple[np.ndarray, np.ndarray]) -> np.ndarray:
+        """Insert ``picks``, ``(stations, contents)`` in insert order; per pick, the id it removes from ``mask``.
 
-        An id either partition of the station already holds is skipped. An
-        evicted id stays in ``mask`` when the station's popular partition
-        has since grown over it.
+        A full FIFO evicts its oldest entry, which leaves ``mask`` unless its
+        station's popular partition has since grown over it; a pick that
+        removes nothing reads 0. Each station's insert sequence is its FIFO
+        followed by its picks, so the pick at position ``p`` evicts position
+        ``p - prefetch_capacity``. Raises ValueError, changing nothing, when
+        the bank has no prefetch slots or a pick's id is held by its station
+        at its turn: popular, or at most ``prefetch_capacity`` inserts back
+        in that sequence.
         """
-        station, content = pair
-        row = self._rows[station]
-        if self.prefetch_capacity == 0 or row[content]:
-            return None
-        fifo = self._fifos[station]
-        evicted = None
-        if len(fifo) >= self.prefetch_capacity:
-            evicted = fifo.popleft()
-            if evicted > self.n_popular[station]:
-                row[evicted] = False
-        fifo.append(content)
-        row[content] = True
-        return evicted
+        stations, contents = (np.asarray(a, dtype=np.int64) for a in picks)
+        n_stations, cap = self.fifo.shape
+        if cap == 0:
+            raise ValueError("this cache size has no prefetch slots")
+        if contents.size and not 0 < contents.min() <= contents.max() < self.mask.shape[1]:
+            raise ValueError(f"prefetch ids must lie in 1..{self.mask.shape[1] - 1}")
+        counts = np.bincount(stations, minlength=n_stations)
+        before = np.cumsum(counts) - counts
+        order = np.argsort(stations, kind="stable")
+        owner = stations[order]
+        # station i's sequence fills seq[first[i] : first[i] + cap + counts[i]]
+        first = np.arange(n_stations) * cap + before
+        at = first[owner] + cap + np.arange(owner.size) - before[owner]
+        seq = np.empty(n_stations * cap + owner.size, dtype=np.int64)
+        seq[(first[:, None] + np.arange(cap)).ravel()] = self.fifo.ravel()
+        seq[at] = contents[order]
+        popular = np.array(self.n_popular, dtype=np.int64)
+        key = np.repeat(np.arange(n_stations), cap + counts) * self.mask.shape[1] + seq
+        by_key = np.argsort(key, kind="stable")
+        repeat = (np.diff(key[by_key]) == 0) & (np.diff(by_key) <= cap) & (seq[by_key[1:]] > 0)
+        if np.any(contents <= popular[stations]) or np.any(repeat):
+            raise ValueError("a prefetch pick is already held by its station at its turn")
+        evicted = seq[at - cap]
+        removed = np.zeros(owner.size, dtype=np.int64)
+        removed[order] = np.where(evicted > popular[owner], evicted, 0)
+        gone = removed > 0
+        self.mask[stations[gone], removed[gone]] = False
+        self.fifo = seq[(first + counts)[:, None] + np.arange(cap)]
+        rows, cols = np.nonzero(self.fifo)
+        self.mask[rows, self.fifo[rows, cols]] = True
+        return removed

@@ -129,9 +129,12 @@ def reference_run(scenario, step_hook=None):
                             (float(eta[k]), int(nxt[k]), int(contents[i]))
                             for k, i in enumerate(idx)
                         )
-                        requests = [(st_idx, content) for _, st_idx, content in triples]
-                        for pair in plan_prefetch(requests, cache, sc.prefetch_budget):
-                            cache.prefetch_insert(pair)
+                        # one step's requests: its picks go in before the next step plans
+                        stations = np.array([st_idx for _, st_idx, _ in triples], dtype=np.int64)
+                        wanted = np.array([content for _, _, content in triples], dtype=np.int64)
+                        requests = (np.full(stations.size, s), stations, wanted)
+                        picks = plan_prefetch(requests, cache, sc.prefetch_budget)
+                        cache.prefetch_insert((stations[picks], wanted[picks]))
 
                 if n_veh:
                     hit_mask = masks[cells, contents]

@@ -157,20 +157,20 @@ def test_segments_count_handovers_like_the_matrix():
 
 
 def random_log(rng, mask, n_sub, n_files):
-    """Random inserts and evictions applied to ``mask`` step by step, with every step's mask after them."""
-    log, after = [], []
+    """Random picks applied to ``mask`` step by step, as ``(step, station, content, removed)``, with every step's mask after them."""
+    picks, after = [], []
     n_stations = mask.shape[0]
     for s in range(n_sub):
         for _ in range(int(rng.poisson(1.5))):
             station, content = int(rng.integers(0, n_stations)), int(rng.integers(1, n_files + 1))
             mask[station, content] = True
-            touched = content if rng.random() < 0.3 else int(rng.integers(1, n_files + 1))
-            if touched != content:
-                # evicted, or kept when a popular partition has grown over it
-                mask[station, touched] = rng.random() < 0.2
-            log.append((s, station, content, touched, bool(mask[station, touched])))
+            # an eviction that drops an id, or none (a free slot, or a popular partition grown over it)
+            removed = int(rng.integers(1, n_files + 1)) if rng.random() < 0.7 else 0
+            if removed:
+                mask[station, removed] = False
+            picks.append((s, station, content, removed))
         after.append(mask.copy())
-    return log, after
+    return tuple(np.array(picks, dtype=np.int64).reshape(-1, 4).T), after
 
 
 def test_hit_counts_match_a_lookup_per_step():

@@ -506,6 +506,24 @@ def test_every_entry_point_moves_the_vehicles_once_per_epoch(monkeypatch):
         assert len(calls) == n_epochs
 
 
+def test_prefetch_is_planned_and_inserted_once_per_epoch_and_staging_size(monkeypatch):
+    """Each size with prefetch slots makes one plan and one insert per epoch, however many steps cross."""
+    calls = []
+    for owner, name in ((engine, "plan_prefetch"), (CacheStore, "prefetch_insert")):
+
+        def counted(*args, real=vars(owner)[name], name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    n_epochs = SWEEP_BASE.duration // SWEEP_BASE.epoch_seconds
+    # 100 and 31 have prefetch slots; 2 gives the popular partition every slot
+    for simulate, n_staging in ((compare_energy, 1), (lambda sc: sweep_cache(sc, [100, 2, 31]), 2)):
+        calls.clear()
+        simulate(SWEEP_BASE)
+        assert calls == ["plan_prefetch", "prefetch_insert"] * (n_epochs * n_staging)
+
+
 def test_engine_calls_every_layer_function_it_imports(monkeypatch):
     """A per-layer benchmark that wraps these names reads 0 for any the engine stops calling."""
     # imported only so that per-layer tracing can wrap it where the engine looks names up

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 
@@ -96,7 +98,7 @@ class TestPlanPopularUpdate:
         n = plan_popular_update(c.n_popular, CAT, budget=np.array([2]), partition_size=3)
         assert n.tolist() == [3]  # both fetches land in free slots
         c.apply_popular_update(n)
-        assert c.contains(0, 1) and c.contains(0, 2) and c.contains(0, 3)
+        assert c.mask[0, 1] and c.mask[0, 2] and c.mask[0, 3]
         # full partition: more budget swaps nothing in or out
         assert plan_popular_update(n, CAT, budget=5, partition_size=3) == 3
 
@@ -149,30 +151,138 @@ class TestPlanPopularUpdate:
                     assert current[i] == set(range(1, int(n[i]) + 1))
 
 
+def plan(c, pairs, budget):
+    """The ``(station, content)`` pairs ``plan_prefetch`` picks when all of them fall in one step."""
+    stations, contents = np.array(pairs, dtype=np.int64).reshape(-1, 2).T
+    return [pairs[k] for k in plan_prefetch((np.zeros(len(pairs), dtype=np.int64), stations, contents), c, budget)]
+
+
+class OldBank:
+    """The per-pair cache the epoch planner replaces: one deque FIFO per station, read through its mask."""
+
+    def __init__(self, prefetch_capacity, n_stations, n_files):
+        self.prefetch_capacity = prefetch_capacity
+        self.n_popular = [0] * n_stations
+        self.fifos = [deque() for _ in range(n_stations)]
+        self.mask = np.zeros((n_stations, n_files + 1), dtype=bool)
+
+    def grow(self, n_popular):
+        for station, n in enumerate(n_popular):
+            self.mask[station, 1 : n + 1] = True
+        self.n_popular = list(n_popular)
+
+    def contains(self, station, content):
+        return bool(self.mask[station, content])
+
+    def prefetch_insert(self, pair):
+        station, content = pair
+        row = self.mask[station]
+        if self.prefetch_capacity == 0 or row[content]:
+            return None
+        fifo = self.fifos[station]
+        evicted = None
+        if len(fifo) >= self.prefetch_capacity:
+            evicted = fifo.popleft()
+            if evicted > self.n_popular[station]:
+                row[evicted] = False
+        fifo.append(content)
+        row[content] = True
+        return evicted
+
+
+def old_plan_prefetch(requests, cache, budget_per_station):
+    """One step's plan, as the per-pair planner made it: request indices of the picks."""
+    plan, picks = [], []
+    taken = {}
+    for k, pair in enumerate(requests):
+        st_idx, content = pair
+        n = taken.get(st_idx, 0)
+        if n < budget_per_station and pair not in plan and not cache.contains(st_idx, content):
+            plan.append(pair)
+            picks.append(k)
+            taken[st_idx] = n + 1
+    return picks
+
+
 class TestPlanPrefetch:
     def test_sooner_arrival_wins_budget(self):
         """Requests come most urgent first, so the earlier pair wins the budget."""
-        plan = plan_prefetch([(3, 202), (3, 101)], cache(n_stations=4), budget_per_station=1)
-        assert plan == [(3, 202)]
+        assert plan(cache(n_stations=4), [(3, 202), (3, 101)], budget=1) == [(3, 202)]
 
     def test_cached_content_skipped(self):
         c = cache(n_popular=7)
-        assert plan_prefetch([(0, 7)], c, budget_per_station=5) == []
-        c.prefetch_insert((0, 9))
-        assert plan_prefetch([(0, 9)], c, budget_per_station=5) == []
+        assert plan(c, [(0, 7)], budget=5) == []
+        c.prefetch_insert(([0], [9]))
+        assert plan(c, [(0, 9)], budget=5) == []
 
     def test_reads_the_destination_row(self):
         c = cache(n_stations=2)
-        c.prefetch_insert((0, 9))
-        assert plan_prefetch([(0, 9), (1, 9)], c, budget_per_station=5) == [(1, 9)]
+        c.prefetch_insert(([0], [9]))
+        assert plan(c, [(0, 9), (1, 9)], budget=5) == [(1, 9)]
 
     def test_duplicate_predictions_coalesce(self):
-        plan = plan_prefetch([(0, 5), (0, 5)], cache(), budget_per_station=5)
-        assert plan == [(0, 5)]
+        assert plan(cache(), [(0, 5), (0, 5)], budget=5) == [(0, 5)]
 
     def test_independent_budgets_per_station(self):
-        plan = plan_prefetch([(0, 1), (0, 2), (1, 3)], cache(n_stations=2), budget_per_station=1)
-        assert plan == [(0, 1), (1, 3)]
+        assert plan(cache(n_stations=2), [(0, 1), (0, 2), (1, 3)], budget=1) == [(0, 1), (1, 3)]
+
+    def test_matches_planning_and_inserting_step_by_step(self):
+        """One epoch-wide plan and one insert give what the per-step, per-pair loop gave."""
+        rng = np.random.default_rng(2024)
+        n_files = 9
+        seen = dict.fromkeys(("repeat", "evicted_then_requested", "popular_over_fifo", "budget_over_fifo"), 0)
+        for _ in range(2000):
+            n_stations = int(rng.integers(1, 4))
+            fifo_size, popular_size = int(rng.integers(1, 6)), int(rng.integers(0, 5))
+            capacity = fifo_size + popular_size
+            split = max(popular_size - 0.5, 0.0) / capacity
+            budget = int(rng.integers(0, 5))
+            c = CacheStore(capacity, split, mask=np.zeros((n_stations, n_files + 1), dtype=bool))
+            assert c.prefetch_capacity == fifo_size
+            old = OldBank(fifo_size, n_stations, n_files)
+            n_popular = np.zeros(n_stations, dtype=np.int64)
+            for _ in range(int(rng.integers(1, 5))):
+                n_popular = np.minimum(n_popular + rng.integers(0, 3, n_stations), c.popular_capacity)
+                c.apply_popular_update(n_popular)
+                old.grow(n_popular.tolist())
+                seen["popular_over_fifo"] += any(
+                    min(fifo, default=n_files + 1) <= n for fifo, n in zip(old.fifos, n_popular.tolist())
+                )
+                sizes = rng.integers(0, 7, size=int(rng.integers(1, 7)))
+                step = np.repeat(np.sort(rng.choice(20, size=sizes.size, replace=False)), sizes)
+                station = rng.integers(0, n_stations, size=step.size)
+                content = rng.integers(1, n_files + 1, size=step.size)
+
+                picks = plan_prefetch((step, station, content), c, budget)
+                removed = c.prefetch_insert((station[picks], content[picks]))
+
+                want_picks, want_removed = [], []
+                for s in np.unique(step).tolist():
+                    group = np.flatnonzero(step == s)
+                    pairs = list(zip(station[group].tolist(), content[group].tolist()))
+                    at_start = [set(fifo) for fifo in old.fifos]
+                    picked = old_plan_prefetch(pairs, old, budget)
+                    taken = [0] * n_stations
+                    for k, pair in enumerate(pairs):
+                        st_idx, content_id = pair
+                        if k in picked:
+                            evicted = old.prefetch_insert(pair)
+                            gone = evicted is not None and evicted > old.n_popular[st_idx]
+                            want_removed.append(evicted if gone else 0)
+                            taken[st_idx] += 1
+                            seen["budget_over_fifo"] += taken[st_idx] > fifo_size
+                        elif content_id in at_start[st_idx] and content_id not in old.fifos[st_idx]:
+                            seen["evicted_then_requested"] += 1
+                        seen["repeat"] += pair in pairs[:k]
+                    want_picks += group[picked].tolist()
+
+                assert picks.tolist() == want_picks
+                assert removed.tolist() == want_removed
+                for st_idx in range(n_stations):
+                    assert c.prefetch(st_idx) == list(old.fifos[st_idx])
+                np.testing.assert_array_equal(c.mask, old.mask)
+        # every case the window rule must get right came up
+        assert min(seen.values()) >= 50, seen
 
 
 class TestSustainableLargeStep:

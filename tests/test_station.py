@@ -11,6 +11,12 @@ def block(n_stations=1):
     return np.zeros((n_stations, 50), dtype=bool)
 
 
+def insert(c, station, content):
+    """Insert one pick; the id it removed from the mask, or 0."""
+    (removed,) = c.prefetch_insert(([station], [content])).tolist()
+    return removed
+
+
 class TestPowerModel:
     def test_defaults_normalised(self):
         pm = PowerModel()
@@ -46,40 +52,53 @@ class TestCacheStore:
 
     def test_zero_capacity_caches_nothing(self):
         c = CacheStore(0, 0.8, mask=block())
-        assert c.prefetch_insert((0, 5)) is None
-        assert not c.contains(0, 5)
+        with pytest.raises(ValueError, match="no prefetch slots"):
+            insert(c, 0, 5)
+        assert not c.mask[0, 5]
 
     def test_membership_is_union_of_partitions(self):
         c = CacheStore(10, 0.5, mask=block())
         c.apply_popular_update([2])
-        c.prefetch_insert((0, 7))
-        assert c.contains(0, 1) and c.contains(0, 2) and c.contains(0, 7)
-        assert not c.contains(0, 3)
+        insert(c, 0, 7)
+        assert c.mask[0, 1] and c.mask[0, 2] and c.mask[0, 7]
+        assert not c.mask[0, 3]
 
     def test_fifo_eviction_order(self):
         c = CacheStore(5, 0.5, mask=block())  # prefetch capacity 2
-        assert c.prefetch_insert((0, 11)) is None
-        assert c.prefetch_insert((0, 12)) is None
-        assert c.prefetch_insert((0, 13)) == 11
-        assert c.prefetch_insert((0, 14)) == 12
+        assert insert(c, 0, 11) == 0
+        assert insert(c, 0, 12) == 0
+        assert insert(c, 0, 13) == 11
+        assert insert(c, 0, 14) == 12
+        assert c.prefetch(0) == [13, 14]
+        # one call applies its picks in order, as one call per pick does
+        c = CacheStore(5, 0.5, mask=block())
+        assert c.prefetch_insert(([0] * 4, [11, 12, 13, 14])).tolist() == [0, 0, 11, 12]
         assert c.prefetch(0) == [13, 14]
 
-    def test_duplicate_prefetch_is_noop(self):
-        c = CacheStore(5, 0.5, mask=block())
-        c.prefetch_insert((0, 11))
-        assert c.prefetch_insert((0, 11)) is None
+    def test_held_pick_is_rejected(self):
+        """A pick its station holds at its turn, in either partition, raises and changes nothing."""
+        c = CacheStore(5, 0.5, mask=block())  # prefetch capacity 2
+        insert(c, 0, 11)
         c.apply_popular_update([1])
-        assert c.prefetch_insert((0, 1)) is None  # held by the popular partition
-        assert c.prefetch(0) == [11]
+        for stations, contents in (([0], [11]), ([0], [1]), ([0, 0, 0], [12, 13, 12]), ([0, 0], [12, 11])):
+            with pytest.raises(ValueError, match="already held"):
+                c.prefetch_insert((stations, contents))
+            assert c.prefetch(0) == [11]
+            assert np.flatnonzero(c.mask[0]).tolist() == [1, 11]
+        # more than two inserts back the id has left the FIFO, so it may come back
+        assert c.prefetch_insert(([0] * 4, [12, 13, 14, 12])).tolist() == [0, 11, 12, 13]
+        assert c.prefetch(0) == [14, 12]
+        with pytest.raises(ValueError, match="ids must lie"):
+            c.prefetch_insert(([0], [50]))
 
     def test_mask_written_through(self):
         mask = block()
         c = CacheStore(4, 0.5, mask=mask)
         c.apply_popular_update([1])
-        c.prefetch_insert((0, 9))
+        insert(c, 0, 9)
         assert mask[0, 1] and mask[0, 9] and not mask[0, 2]
-        c.prefetch_insert((0, 10))
-        c.prefetch_insert((0, 11))  # evicts 9
+        insert(c, 0, 10)
+        insert(c, 0, 11)  # evicts 9
         assert not mask[0, 9] and mask[0, 10] and mask[0, 11]
         c.apply_popular_update([2])
         assert mask[0, 1] and mask[0, 2]
@@ -87,10 +106,11 @@ class TestCacheStore:
     def test_mask_keeps_id_cached_in_both_partitions(self):
         mask = block()
         c = CacheStore(9, 0.8, mask=mask)  # 8 popular slots, 1 prefetch slot
-        c.prefetch_insert((0, 7))
+        insert(c, 0, 7)
         c.apply_popular_update([8])  # the popular partition grows over 7
-        assert c.prefetch_insert((0, 20)) == 7
-        assert mask[0, 7] and c.contains(0, 7)
+        assert insert(c, 0, 20) == 0  # evicts 7, which stays cached
+        assert c.prefetch(0) == [20]
+        assert mask[0, 7]
         assert mask[0, 20] and not mask[0, 9]
 
     def test_popular_overfull_rejected(self):
@@ -132,11 +152,9 @@ class TestCacheStore:
         mask = block(3)
         c = CacheStore(5, 0.4, mask=mask)  # 2 popular slots, 3 prefetch slots
         c.apply_popular_update(np.array([2, 0, 1]))
-        c.prefetch_insert((0, 30))
-        c.prefetch_insert((2, 31))
+        c.prefetch_insert(([0, 2], [30, 31]))
         others = mask[[0, 2]].copy()
-        for content in (10, 11, 12, 13, 14):
-            c.prefetch_insert((1, content))
+        c.prefetch_insert(([1] * 5, [10, 11, 12, 13, 14]))
         assert c.prefetch(1) == [12, 13, 14]
         np.testing.assert_array_equal(mask[[0, 2]], others)
         assert c.prefetch(0) == [30] and c.prefetch(2) == [31]
@@ -146,16 +164,16 @@ class TestCacheStore:
         """An evicted id stays cached only where that station's popular prefix covers it."""
         mask = block(2)
         c = CacheStore(9, 0.8, mask=mask)  # 8 popular slots, 1 prefetch slot
-        c.prefetch_insert((0, 7))
-        c.prefetch_insert((1, 7))
+        c.prefetch_insert(([0, 1], [7, 7]))
         c.apply_popular_update(np.array([8, 0]))
-        assert c.prefetch_insert((0, 20)) == 7
-        assert c.prefetch_insert((1, 20)) == 7
+        # both evict 7; only station 1 drops it from the mask
+        assert c.prefetch_insert(([0, 1], [20, 20])).tolist() == [0, 7]
+        assert c.prefetch(0) == c.prefetch(1) == [20]
         assert mask[0, 7] and not mask[1, 7]
         assert mask[0, 20] and mask[1, 20]
 
     def test_random_operations_keep_invariants(self):
-        """Random grows and inserts on a 3-station bank against per-station list-and-count models."""
+        """Random grows and insert batches on a 3-station bank against per-station list-and-count models."""
         rng = np.random.default_rng(11)
         n_files, n_stations = 30, 3
         for _ in range(200):
@@ -168,15 +186,24 @@ class TestCacheStore:
                     n_popular = [int(rng.integers(n, limit + 1)) for n in n_popular]
                     c.apply_popular_update(np.array(n_popular))
                 else:
-                    station = int(rng.integers(n_stations))
-                    content = int(rng.integers(1, n_files + 1))
-                    fifo = fifos[station]
-                    expected = None
-                    if c.prefetch_capacity and content > n_popular[station] and content not in fifo:
-                        if len(fifo) == c.prefetch_capacity:
-                            expected = fifo.pop(0)
+                    size = int(rng.integers(0, 5))
+                    stations = rng.integers(n_stations, size=size)
+                    contents = rng.integers(1, n_files + 1, size=size)
+                    after, expected = [list(f) for f in fifos], []
+                    for station, content in zip(stations.tolist(), contents.tolist()):
+                        fifo = after[station]
+                        if not c.prefetch_capacity or content <= n_popular[station] or content in fifo:
+                            expected = None
+                            break
+                        evicted = fifo.pop(0) if len(fifo) == c.prefetch_capacity else 0
+                        expected.append(evicted if evicted > n_popular[station] else 0)
                         fifo.append(content)
-                    assert c.prefetch_insert((station, content)) == expected
+                    if expected is None or not c.prefetch_capacity:
+                        with pytest.raises(ValueError):
+                            c.prefetch_insert((stations, contents))
+                    else:
+                        assert c.prefetch_insert((stations, contents)).tolist() == expected
+                        fifos = after
                 assert c.n_popular == n_popular
                 for station, fifo in enumerate(fifos):
                     assert c.prefetch(station) == fifo
