@@ -17,10 +17,12 @@ size's hits to one energy pass per size.
 
 The demand pass works per event, not per vehicle-step. Every vehicle
 shares one speed, so it changes cell only every ``cell_length / (speed *
-step)`` steps. The pass finds each vehicle's cell crossings by
-evaluating its exact cell on a few rows around each predicted one, and
-cuts its steps into runs of one cell; the handover lookahead is taken on
-rows read off the runs. Only steps with a crossing request prefetches;
+step)`` steps. The pass evaluates each vehicle's exact position and
+cell once per epoch, on the epoch's first and last three rows and on
+the three rows up to each predicted crossing. That one sample feeds
+both the crossing finder, which cuts the vehicle's steps into runs of
+one cell, and the handover lookahead, which reads the rows just before
+each crossing. Only steps with a crossing request prefetches;
 each size plans the epoch's requests in one pass and inserts its picks
 in one call, and each pick sets one (station, content) slot of that
 size's mask and clears the slot of the id it removed. A run's hits are
@@ -227,9 +229,10 @@ class DemandEpoch:
     continuity: int
 
 
-# Offsets of the rows sampled around a guessed crossing row ``c``: a
-# crossing at row ``c - 1``, ``c`` or ``c + 1`` shows between two adjacent rows.
-_WINDOW = np.arange(-2, 2)
+# Offsets of the rows sampled around a guessed crossing row ``g``: a crossing
+# at row ``g - 1`` or ``g`` shows between two adjacent rows, and one at ``g``
+# has the rows its lookahead reads, ``g - 2 .. g``.
+_WINDOW = np.arange(-2, 1)
 
 # what a size without prefetch slots stages: no (step, station, content, removed) picks
 _NO_PICKS = (np.empty(0, dtype=np.int64),) * 4
@@ -274,39 +277,50 @@ def _guess_crossings(vehicles: VehicleSet, hw: Highway, dt: float, n_sub: int) -
 
 def _sample_cells(
     vehicles: VehicleSet, hw: Highway, dt: float, n_sub: int, guesses: np.ndarray | None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Exact cells at rows 0 and ``n_sub`` and around each guessed crossing.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Exact positions and cells on the rows the crossing finder and the lookahead read.
 
-    Returns ``(vehicle, row, cell)`` sorted by vehicle, then row. Each cell
-    is ``cell_indices(positions_at(row * dt))``, the matrix expression on
-    gathered pairs. Between two sampled rows more than a step apart, the
+    Returns ``(vehicle, row, position, cell)`` sorted by vehicle, then row.
+    Each entry is ``positions_at(row * dt)`` and its ``cell_indices``, the
+    matrix expressions on gathered pairs. Every vehicle is sampled on rows
+    0 and ``n_sub - 2 .. n_sub`` and on ``g - 2 .. g`` around each guessed
+    crossing ``g``. Between two sampled rows more than a step apart, the
     vehicle keeps its cell: both ends agree, and the gap moves it less
     than a cell, across at most one boundary. Any other gap holds a
-    crossing the guesses missed, and that vehicle is sampled on every row,
-    as every vehicle is when ``guesses`` is None.
+    crossing the guesses missed. A crossing into row ``c`` that is found
+    needs rows ``c - 2 .. c`` for its lookahead (see :func:`_requests`);
+    one found a row early leaves ``c - 2`` out. Either way that vehicle is
+    sampled on every row, as every vehicle is when ``guesses`` is None.
     """
     n, per = vehicles.n, n_sub + 1
 
-    def cells_at(keys):
+    def sample(keys):
         veh, row = np.divmod(keys, per)
-        return veh, row, cell_indices(vehicles.positions_at(row * dt, hw, veh), hw)
+        positions = vehicles.positions_at(row * dt, hw, veh)
+        return veh, row, positions, cell_indices(positions, hw)
 
     if guesses is None:
-        return cells_at(np.arange(n * per))
+        return sample(np.arange(n * per))
+    tail = np.maximum(np.arange(n_sub - 2, n_sub + 1), 0)
     windows = (guesses[:, :, None] + _WINDOW).reshape(n, guesses.shape[1] * _WINDOW.size)
-    rows = np.hstack((np.zeros((n, 1), np.int64), windows, np.full((n, 1), n_sub)))
-    # guesses three rows apart keep each vehicle's rows ascending, so repeats are neighbours
-    keys = (np.clip(rows, 0, n_sub) + np.arange(n)[:, None] * per).ravel()
+    # rows from n_sub - 2 on are in every vehicle's tail, so each vehicle's rows ascend
+    windows = np.clip(windows, 0, tail[0])
+    rows = np.hstack((np.zeros((n, 1), np.int64), windows, np.broadcast_to(tail, (n, tail.size))))
+    # guesses three rows apart keep the windows apart, so repeats are neighbours
+    keys = (rows + np.arange(n)[:, None] * per).ravel()
     keys = keys[np.diff(keys, prepend=-1) != 0]
-    veh, row, cells = cells_at(keys)
+    veh, row, positions, cells = sample(keys)
     gap = np.diff(row)
-    missed = (np.diff(veh) == 0) & (gap > 1)
-    missed &= (np.diff(cells) != 0) | ((gap + 1) * (vehicles.speed * dt) > hw.cell_length)
+    same = np.diff(veh) == 0
+    crossed = same & (np.diff(cells) != 0)
+    missed = same & (gap > 1) & (crossed | ((gap + 1) * (vehicles.speed * dt) > hw.cell_length))
+    # a crossing into row c >= 2 found between rows c - 1 and c needs row c - 2 right before them
+    missed[1:] |= crossed[1:] & (row[1:-1] > 0) & (gap[:-1] > 1)
     if missed.any():
         redo = np.unique(veh[1:][missed])
         dense = (redo[:, None] * per + np.arange(per)).ravel()
-        veh, row, cells = cells_at(np.union1d(keys[~np.isin(veh, redo)], dense))
-    return veh, row, cells
+        return sample(np.union1d(keys[~np.isin(veh, redo)], dense))
+    return veh, row, positions, cells
 
 
 def _segments(veh: np.ndarray, row: np.ndarray, cells: np.ndarray, n_sub: int):
@@ -323,35 +337,31 @@ def _segments(veh: np.ndarray, row: np.ndarray, cells: np.ndarray, n_sub: int):
     return seg_veh, cells[start], np.maximum(first - 1, 0), end - 1, first > 0
 
 
-def _requests(vehicles: VehicleSet, hw: Highway, dt: float, n_sub: int, segments, popular: np.ndarray):
+def _requests(vehicles: VehicleSet, hw: Highway, dt: float, n_sub: int, sample, segments, popular: np.ndarray):
     """Handover lookahead of every step that has a crossing, most urgent first.
 
-    ``segments`` are the vehicles' runs from :func:`_segments`; a crossing
-    step is the ``a`` of a crossed run. Returns ``(step, station,
-    content)`` ordered by step, then arrival time, next cell and content.
-    When steps are short (:func:`_short_steps`), a run's rows are its end
-    ``min(b + 1, n_sub)`` (the crossing that ends it, or the epoch's end)
-    and the two rows before it, below ``n_sub`` and past the vehicle's
-    previous run's end, so each row is evaluated once. Otherwise a run's
-    rows are its steps ``[a, b)``, so every row is. Requests for ids up to
+    ``sample`` is :func:`_sample_cells`' output and ``segments`` the
+    vehicles' runs from :func:`_segments`; a crossing step is the ``a`` of
+    a crossed run. Returns ``(step, station, content)`` ordered by step,
+    then arrival time, next cell and content. A vehicle within one step
+    of its next boundary crosses it within two steps, so when steps are
+    short (:func:`_short_steps`) only the rows ``c - 2 .. c`` of each
+    crossing into row ``c`` and the epoch's last two rows can request
+    anything; the sample holds those rows. Otherwise it holds every row.
+    So the lookahead evaluates the sampled rows of crossing steps, and
+    each (vehicle, row) pair once. Requests for ids up to
     ``popular[station]``, which every staging size caches all epoch, are
     dropped before sorting.
     """
-    seg_veh, _, a, b, crossed = segments
-    changed = np.zeros(n_sub, dtype=bool)
+    veh, rows, positions, cells = sample
+    _, _, a, _, crossed = segments
+    # row n_sub, the epoch's end, starts no step
+    changed = np.zeros(n_sub + 1, dtype=bool)
     changed[a[crossed]] = True
-    lo, hi = a, b
-    if _short_steps(vehicles, hw, dt):
-        end = np.minimum(b + 1, n_sub)
-        prev = np.where(np.diff(seg_veh, prepend=-1) != 0, -1, np.roll(end, 1))
-        lo, hi = np.maximum(end - 2, prev + 1), np.minimum(end, n_sub - 1) + 1
-    owner, rows = _spans(lo, np.maximum(hi - lo, 0))
-    veh = seg_veh[owner]
     gated = changed[rows]
     veh, rows = veh[gated], rows[gated]
-    positions = vehicles.positions_at(rows * dt, hw, veh)
     flat, nxt, eta = handovers_from_arrays(
-        positions, cell_indices(positions, hw), vehicles.direction[veh], vehicles.speed, hw, horizon=dt
+        positions[gated], cells[gated], vehicles.direction[veh], vehicles.speed, hw, horizon=dt
     )
     ahead = vehicles.active_content[veh[flat]]
     wanted = ahead > popular[nxt]
@@ -454,9 +464,10 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
 
     Each epoch respawns the vehicles, refreshes the popular partitions
     under one backhaul draw per station, then works per event, not per
-    vehicle-step. It finds each vehicle's cell crossings (exact cells on
-    a few rows around each guessed one), cuts its steps into runs of one
-    cell, and takes the handover lookahead of all sizes from the runs.
+    vehicle-step. It samples each vehicle's exact positions and cells on
+    a few rows (:func:`_sample_cells`), cuts its steps into runs of one
+    cell, and takes the handover lookahead of all sizes from the same
+    sample.
     Each size then stages the epoch's prefetches with one plan and one
     insert (:func:`_stage`), and counts its hits and continuity from the
     runs, its mask at the epoch start and the slots its picks set and
@@ -488,12 +499,15 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
                 plan_popular_update(cache.n_popular, catalog, budgets, cache.popular_capacity)
             )
 
-        guesses = _guess_crossings(vehicles, hw, dt, n_sub)
-        segments = _segments(*_sample_cells(vehicles, hw, dt, n_sub, guesses), n_sub)
+        sample = _sample_cells(vehicles, hw, dt, n_sub, _guess_crossings(vehicles, hw, dt, n_sub))
+        veh, row, _, cells = sample
+        segments = _segments(veh, row, cells, n_sub)
         _, cell, a, b, crossed = segments
         if staging:
             popular = np.min([cache.n_popular for cache in staging], axis=0)
-            requests = _requests(vehicles, hw, dt, n_sub, segments, popular)
+            requests = _requests(vehicles, hw, dt, n_sub, sample, segments, popular)
+        # the positions are read only by the lookahead
+        del sample, veh, row, cells
         handovers = int(np.count_nonzero(crossed))
         occupancy = _step_sums(a * n_stations + cell, b * n_stations + cell, (n_sub + 1, n_stations))
         demands = []

@@ -54,13 +54,30 @@ def carried(veh, row, cells, n, n_sub):
 
 
 def assert_finder_matches(hw, vehicles, dt, n_sub, guesses):
-    _, cells = matrix(hw, vehicles, dt, n_sub)
-    veh, row, got = engine._sample_cells(vehicles, hw, dt, n_sub, guesses)
+    positions, cells = matrix(hw, vehicles, dt, n_sub)
+    sample = engine._sample_cells(vehicles, hw, dt, n_sub, guesses)
+    veh, row, got_positions, got = sample
     assert np.all(np.diff(veh * (n_sub + 1) + row) > 0)
-    # each sampled cell is the matrix entry, and the gaps hide no crossing
+    # each sampled position and cell is the matrix entry, and the gaps hide no crossing
+    np.testing.assert_array_equal(got_positions, positions[row, veh], strict=True)
     np.testing.assert_array_equal(got, cells[row, veh])
     np.testing.assert_array_equal(carried(veh, row, got, vehicles.n, n_sub), cells)
-    return veh, row, got
+    # it holds the rows the lookahead reads: c - 2 .. c of each crossing into row c, and the last two
+    sampled = np.zeros_like(cells, dtype=bool)
+    sampled[row, veh] = True
+    crossing = np.zeros_like(sampled)
+    crossing[1:] = cells[1:] != cells[:-1]
+    need = crossing.copy()
+    need[:-1] |= crossing[1:]
+    need[:-2] |= crossing[2:]
+    need[-3:-1] = True
+    assert not (need & ~sampled).any()
+    return sample
+
+
+def segments_of(sample, n_sub):
+    veh, row, _, cells = sample
+    return engine._segments(veh, row, cells, n_sub)
 
 
 def test_crossing_finder_matches_the_matrix():
@@ -79,7 +96,7 @@ def test_crossing_finder_on_a_one_station_ring():
     for _ in range(20):
         hw, vehicles, dt, n_sub = random_block(rng, n_stations=1)
         guesses = engine._guess_crossings(vehicles, hw, dt, n_sub)
-        _, _, cells = assert_finder_matches(hw, vehicles, dt, n_sub, guesses)
+        *_, cells = assert_finder_matches(hw, vehicles, dt, n_sub, guesses)
         assert not cells.any()
 
 
@@ -91,11 +108,12 @@ def test_finder_samples_every_row_where_the_guesses_miss():
         guesses = engine._guess_crossings(vehicles, hw, dt, n_sub)
         assert guesses is not None
         # ten rows late: every window misses its crossing
-        veh, row, _ = assert_finder_matches(hw, vehicles, dt, n_sub, guesses + 10)
+        veh, *_ = assert_finder_matches(hw, vehicles, dt, n_sub, guesses + 10)
         dense = np.bincount(veh, minlength=vehicles.n) == n_sub + 1
         fired += int(dense.sum())
-        # a vehicle that crossed within the block is now sampled on every row
-        crossed = np.flatnonzero(np.ptp(matrix(hw, vehicles, dt, n_sub)[1], axis=0) > 0)
+        # a vehicle that crossed before the rows every vehicle is sampled on,
+        # n_sub - 2 .. n_sub, is now sampled on every row
+        crossed = np.flatnonzero(np.ptp(matrix(hw, vehicles, dt, n_sub)[1][:n_sub - 1], axis=0) > 0)
         assert dense[crossed].all()
     assert fired > 0
 
@@ -125,19 +143,32 @@ def matrix_requests(hw, vehicles, dt, n_sub, popular):
     return step[order], nxt[order], ahead[order]
 
 
-@pytest.mark.parametrize("shift", [0, 10])
-def test_lookahead_matches_the_matrix(shift):
+# -1: every crossing lands a row past its window (the gap check); +1: a row
+# early, which leaves out the lookahead's first row; 10: every window misses
+@pytest.mark.parametrize("shift", [-1, 0, 1, 10])
+def test_lookahead_matches_the_matrix(shift, monkeypatch):
     rng = np.random.default_rng(2211 + shift)
+    # the finder evaluates positions once, and once more when it falls back
+    calls = []
+    real = VehicleSet.positions_at
+    monkeypatch.setattr(VehicleSet, "positions_at", lambda *args: calls.append(1) or real(*args))
+    fired = 0
     for _ in range(200):
         hw, vehicles, dt, n_sub = random_block(rng)
         guesses = engine._guess_crossings(vehicles, hw, dt, n_sub)
-        sampled = engine._sample_cells(vehicles, hw, dt, n_sub, None if guesses is None else guesses + shift)
-        segments = engine._segments(*sampled, n_sub)
+        if guesses is not None:
+            guesses = guesses + shift
+        calls.clear()
+        sample = engine._sample_cells(vehicles, hw, dt, n_sub, guesses)
+        fired += len(calls) - 1
+        assert_finder_matches(hw, vehicles, dt, n_sub, guesses)
         popular = rng.integers(0, 10, hw.n_stations)
-        got = engine._requests(vehicles, hw, dt, n_sub, segments, popular)
+        got = engine._requests(vehicles, hw, dt, n_sub, sample, segments_of(sample, n_sub), popular)
         want = matrix_requests(hw, vehicles, dt, n_sub, popular)
         for g, w in zip(got, want):
             np.testing.assert_array_equal(g, w)
+    # shifted guesses send vehicles to the fallback
+    assert fired > 0 or shift == 0
 
 
 def test_segments_count_handovers_like_the_matrix():
@@ -146,8 +177,8 @@ def test_segments_count_handovers_like_the_matrix():
         hw, vehicles, dt, n_sub = random_block(rng)
         _, cells = matrix(hw, vehicles, dt, n_sub)
         guesses = engine._guess_crossings(vehicles, hw, dt, n_sub)
-        sampled = engine._sample_cells(vehicles, hw, dt, n_sub, guesses)
-        seg_veh, cell, a, b, crossed = engine._segments(*sampled, n_sub)
+        sample = engine._sample_cells(vehicles, hw, dt, n_sub, guesses)
+        seg_veh, cell, a, b, crossed = segments_of(sample, n_sub)
         assert np.count_nonzero(crossed) == np.count_nonzero(cells[1:] != cells[:-1])
         occupancy = np.zeros((n_sub, hw.n_stations), dtype=np.int64)
         for v, c, lo, hi in zip(seg_veh, cell, a, b):
@@ -187,7 +218,7 @@ def test_hit_counts_match_a_lookup_per_step():
             after.append(states)
         _, cells = matrix(hw, vehicles, dt, n_sub)
         guesses = engine._guess_crossings(vehicles, hw, dt, n_sub)
-        segments = engine._segments(*engine._sample_cells(vehicles, hw, dt, n_sub, guesses), n_sub)
+        segments = segments_of(engine._sample_cells(vehicles, hw, dt, n_sub, guesses), n_sub)
         crossed = cells[1:] != cells[:-1]
         for k in range(n_sizes):
             hits, continuity = engine._count_hits(

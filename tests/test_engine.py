@@ -524,6 +524,23 @@ def test_prefetch_is_planned_and_inserted_once_per_epoch_and_staging_size(monkey
         assert calls == ["plan_prefetch", "prefetch_insert"] * (n_epochs * n_staging)
 
 
+def test_every_entry_point_evaluates_positions_and_cells_once_per_epoch(monkeypatch):
+    """One exact sample per epoch feeds both the crossing finder and the handover lookahead."""
+    calls = []
+    for owner, name in ((VehicleSet, "positions_at"), (engine, "cell_indices")):
+
+        def counted(*args, real=vars(owner)[name], name=name):
+            calls.append(name)
+            return real(*args)
+
+        monkeypatch.setattr(owner, name, counted)
+    n_epochs = SWEEP_BASE.duration // SWEEP_BASE.epoch_seconds
+    for simulate in (run, compare_energy, lambda sc: sweep_cache(sc, SWEEP_SIZES)):
+        calls.clear()
+        simulate(SWEEP_BASE)
+        assert calls == ["positions_at", "cell_indices"] * n_epochs
+
+
 def test_engine_calls_every_layer_function_it_imports(monkeypatch):
     """A per-layer benchmark that wraps these names reads 0 for any the engine stops calling."""
     # imported only so that per-layer tracing can wrap it where the engine looks names up
@@ -841,6 +858,40 @@ def test_run_matches_single_loop_reference(policy):
         assert got_steps == want_steps
     n_veh = got_steps[0][1]
     assert n_veh * (dense.epoch_seconds // dense.step_seconds) > 1_000_000
+
+
+@pytest.mark.parametrize("shift", [-1, 1])
+def test_guesses_a_row_off_fall_back_and_match_the_oracle(monkeypatch, shift):
+    """A crossing a row past its guess fails the gap check; one a row before it leaves
+    out a lookahead row. Either way its vehicle is sampled on every row, which
+    random spawns never need, and every entry point still gives the oracle's bits."""
+    real = engine._guess_crossings
+
+    def shifted(*args):
+        guesses = real(*args)
+        return None if guesses is None else guesses + shift
+
+    monkeypatch.setattr(engine, "_guess_crossings", shifted)
+    samples = []
+    real_positions = VehicleSet.positions_at
+    monkeypatch.setattr(VehicleSet, "positions_at", lambda *args: samples.append(1) or real_positions(*args))
+    odd = replace(SWEEP_BASE, highway=Highway(3, 333.3), speed=31.0, epoch_seconds=600, step_seconds=2)
+    for sc in (SWEEP_BASE, odd):
+        runs = {}
+        for policy in ("sustainable", "greedy"):
+            samples.clear()
+            got, got_steps = engine_trace(replace(sc, policy=policy))
+            # every epoch samples twice: once around the guesses, once densely
+            assert len(samples) == 2 * (sc.duration // sc.epoch_seconds)
+            want, want_steps = reference_trace(replace(sc, policy=policy))
+            assert_same_report(got, want)
+            assert got_steps == want_steps
+            runs[policy] = got
+        cmp = compare_energy(sc)
+        assert_same_report(cmp.sustainable, runs["sustainable"])
+        assert_same_report(cmp.greedy, runs["greedy"])
+        for p in sweep_cache(sc, [0, 2, 31, 1000]):
+            assert_same_report(p.report, run(replace(sc, cache_capacity=p.cache_capacity)))
 
 
 def test_wide_differential_run_agrees_on_25_scenarios(capsys):
