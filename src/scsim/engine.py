@@ -388,7 +388,7 @@ def _flips(staged, start: np.ndarray, n_sub: int) -> tuple[np.ndarray, np.ndarra
 
     ``staged`` is one size's picks from :func:`_stage`; a slot is a flat
     index into that size's ``(n_stations, n_files + 1)`` mask, whose
-    epoch-start copy is ``start``. Each pick sets its own slot and then
+    epoch-start membership is ``start``. Each pick sets its own slot and then
     clears the slot of the id it removed; a step's last entry for a slot
     is its state at that step's lookup, and an entry that keeps the state
     is no flip.
@@ -421,7 +421,7 @@ def _count_hits(segments, contents: np.ndarray, start: np.ndarray, flips, n_sub:
 
     A run of one cell looks up one slot, its cell's bit for its content,
     over steps ``[a, b)``. The slot starts the run in its state after its
-    last flip at or before step ``a``, or its epoch-start state in
+    last flip at or before step ``a``, or in the epoch-start membership
     ``start``. The run adds that state at ``a``, each flip inside the run
     adds +1 or -1 at its step, and the run's end state comes off at ``b``.
     Continuity counts the runs entered by a crossing that start on.
@@ -470,7 +470,7 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
     sample.
     Each size then stages the epoch's prefetches with one plan and one
     insert (:func:`_stage`), and counts its hits and continuity from the
-    runs, its mask at the epoch start and the slots its picks set and
+    runs, its membership at the epoch start and the slots its picks set and
     cleared, as :func:`_count_hits` describes; the counts are
     those a lookup of every vehicle at every step would give, and are
     checked. The random stream is consumed in that fixed order, and no
@@ -483,7 +483,7 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
     catalog = build_catalog(sc.n_files, sc.gamma)
     rng = np.random.default_rng(sc.seed)
 
-    stores = [CacheStore(c, sc.split_ratio, mask=np.zeros((n_stations, sc.n_files + 1), bool)) for c in capacities]
+    stores = [CacheStore(c, sc.split_ratio, n_stations, sc.n_files) for c in capacities]
     # only the sizes with prefetch slots stage anything ahead of a handover
     staging = [cache for cache in stores if cache.prefetch_capacity and sc.prefetch_budget > 0]
     dt = float(sc.step_seconds)
@@ -512,7 +512,7 @@ def _demand_pass(sc: Scenario, capacities: list[int]) -> Iterator[list[DemandEpo
         occupancy = _step_sums(a * n_stations + cell, b * n_stations + cell, (n_sub + 1, n_stations))
         demands = []
         for cache in stores:
-            start = cache.mask.copy()
+            start = cache.mask
             staged = _stage(cache, requests, sc.prefetch_budget) if cache in staging else _NO_PICKS
             flips = _flips(staged, start, n_sub)
             hits, continuity = _count_hits(segments, vehicles.active_content, start, flips, n_sub)

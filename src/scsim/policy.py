@@ -100,16 +100,16 @@ def plan_prefetch(
 
     ``requests`` holds ``(step, station, content)`` arrays ordered by step
     and, within a step, most urgent first; earlier requests win a station's
-    scarce per-step budget. A station's prefetch FIFO is its last
-    ``cache.prefetch_capacity`` inserts, so its insert sequence, the FIFO
-    now followed by the station's picks in order, tells what it holds at
-    any step. A request is skipped when its id is cached at the destination
-    at the start of its step (popular, or among the station's last
-    ``prefetch_capacity`` inserts by then) or was picked earlier in the
-    step: exactly what planning each step against the cache, and inserting
-    its picks only after, skips. A bank without prefetch slots gets no
-    picks. Returns the indices of the picked requests in request order;
-    apply them with one ``cache.prefetch_insert`` call.
+    scarce per-step budget. A station's prefetch FIFO, its ``cache.fifo``
+    row, is its last ``prefetch_capacity`` inserts, so its insert sequence,
+    the FIFO now followed by the station's picks in order, tells what it
+    holds at any step. A request is skipped when its id is cached at the
+    destination at the start of its step (within ``cache.n_popular``, or
+    among its last ``prefetch_capacity`` inserts by then) or was picked
+    earlier in the step: exactly what planning each step against the
+    cache, and inserting its picks only after, skips. A bank without
+    prefetch slots gets no picks. Returns the indices of the picked
+    requests in request order; apply them with one ``cache.prefetch_insert``.
     """
     if budget_per_station < 0:
         raise ValueError("budget_per_station must be >= 0")
@@ -117,8 +117,8 @@ def plan_prefetch(
     cap = cache.prefetch_capacity
     if cap == 0:
         return np.empty(0, dtype=np.int64)
-    width = cache.mask.shape[1]
-    candidates = np.flatnonzero(content > np.array(cache.n_popular, dtype=np.int64)[station])
+    width = cache.n_files + 1
+    candidates = np.flatnonzero(content > cache.n_popular[station])
     station = station[candidates]
     # (station, id) -> the id's latest position in the station's insert
     # sequence, which starts with the FIFO's cap slots, oldest first

@@ -47,8 +47,7 @@ def reference_run(scenario, step_hook=None):
     rng = np.random.default_rng(sc.seed)
     pm = sc.power
 
-    masks = np.zeros((n_stations, sc.n_files + 1), dtype=bool)
-    cache = CacheStore(sc.cache_capacity, sc.split_ratio, mask=masks)
+    cache = CacheStore(sc.cache_capacity, sc.split_ratio, n_stations, sc.n_files)
     bank = Battery(level=np.zeros(n_stations), capacity=sc.battery_capacity)
 
     sustainable = sc.policy == "sustainable"
@@ -73,6 +72,7 @@ def reference_run(scenario, step_hook=None):
         cache.apply_popular_update(
             plan_popular_update(cache.n_popular, catalog, budgets, cache.popular_capacity)
         )
+        masks = cache.mask
 
         forecast[:] = mean_rate(sc.energy, float(t0), float(t0 + sc.epoch_seconds))
         if sustainable:
@@ -134,7 +134,9 @@ def reference_run(scenario, step_hook=None):
                         wanted = np.array([content for _, _, content in triples], dtype=np.int64)
                         requests = (np.full(stations.size, s), stations, wanted)
                         picks = plan_prefetch(requests, cache, sc.prefetch_budget)
-                        cache.prefetch_insert((stations[picks], wanted[picks]))
+                        if picks.size:
+                            cache.prefetch_insert((stations[picks], wanted[picks]))
+                            masks = cache.mask
 
                 if n_veh:
                     hit_mask = masks[cells, contents]

@@ -570,7 +570,7 @@ def test_engine_calls_every_layer_function_it_imports(monkeypatch):
     assert [name for name, n in calls.items() if n == 0] == []
 
 
-def test_step_total_adds_like_the_step_loop():
+def test_add_rows_adds_like_the_step_loop():
     rng = np.random.default_rng(20261020)
     for _ in range(3000):
         shape = (int(rng.integers(1, 400)), int(rng.integers(1, 13)))

@@ -22,7 +22,7 @@ PM = PowerModel()
 
 
 def cache(capacity=10, split=0.8, n_popular=0, n_stations=1):
-    c = CacheStore(capacity, split, mask=np.zeros((n_stations, CAT.n_files + 1), dtype=bool))
+    c = CacheStore(capacity, split, n_stations, CAT.n_files)
     c.apply_popular_update([n_popular] * n_stations)
     return c
 
@@ -237,7 +237,7 @@ class TestPlanPrefetch:
             capacity = fifo_size + popular_size
             split = max(popular_size - 0.5, 0.0) / capacity
             budget = int(rng.integers(0, 5))
-            c = CacheStore(capacity, split, mask=np.zeros((n_stations, n_files + 1), dtype=bool))
+            c = CacheStore(capacity, split, n_stations, n_files)
             assert c.prefetch_capacity == fifo_size
             old = OldBank(fifo_size, n_stations, n_files)
             n_popular = np.zeros(n_stations, dtype=np.int64)
