@@ -121,7 +121,6 @@ SCHEMA = {
         "cache_capacity": ("scenario.cache_capacity", "cache slots per station"),
         "split_ratio": ("scenario.split_ratio", "fraction of slots for the popular partition"),
         "p_const": ("scenario.power.p_const", "constant power draw while active"),
-        "p_per_user": ("scenario.power.p_per_user", "incremental power per served user"),
         "p_sleep": ("scenario.power.p_sleep", "power draw while asleep"),
         "max_users": ("scenario.power.max_users", "radio cap on concurrently served users"),
         "rate_per_user_mbps": ("scenario.power.rate_per_user_mbps", "per-user service rate"),

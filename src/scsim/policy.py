@@ -108,12 +108,15 @@ def plan_prefetch(
     among its last ``prefetch_capacity`` inserts by then) or was picked
     earlier in the step: exactly what planning each step against the
     cache, and inserting its picks only after, skips. A bank without
-    prefetch slots gets no picks. Returns the indices of the picked
+    prefetch slots gets no picks. Raises ValueError unless the three
+    arrays are 1-D and of one length. Returns the indices of the picked
     requests in request order; apply them with one ``cache.prefetch_insert``.
     """
     if budget_per_station < 0:
         raise ValueError("budget_per_station must be >= 0")
     step, station, content = (np.asarray(a, dtype=np.int64) for a in requests)
+    if step.ndim != 1 or not step.shape == station.shape == content.shape:
+        raise ValueError("requests must be 1-D step, station and content arrays of one length")
     cap = cache.prefetch_capacity
     if cap == 0:
         return np.empty(0, dtype=np.int64)

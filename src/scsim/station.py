@@ -11,15 +11,14 @@ __all__ = ["PowerModel", "CacheStore"]
 
 @dataclass(frozen=True)
 class PowerModel:
-    """Linear load-dependent power law, normalised so full load draws 1.0.
+    """Linear load-dependent power law, in units of the full-load draw.
 
-    ``p_const`` is the load-independent floor an active station always
-    pays; each concurrently served user adds ``p_per_user``. Sleeping
-    costs only ``p_sleep``.
+    An active station always pays the floor ``p_const``; each served user
+    adds ``p_per_user = (1 - p_const) / max_users``, so ``max_users`` users
+    draw 1.0. Sleeping costs only ``p_sleep``.
     """
 
     p_const: float = 0.5
-    p_per_user: float = 0.05
     p_sleep: float = 0.01
     max_users: int = 10
     rate_per_user_mbps: float = 10.0
@@ -27,16 +26,17 @@ class PowerModel:
     def __post_init__(self) -> None:
         if self.max_users < 1:
             raise ValueError("max_users must be >= 1")
-        rates = (self.p_const, self.p_per_user, self.p_sleep, self.rate_per_user_mbps)
+        rates = (self.p_const, self.p_sleep, self.rate_per_user_mbps)
         if not all(0 <= v < math.inf for v in rates):
             raise ValueError("power and rate parameters must be finite and >= 0")
-        if self.p_per_user == 0:
-            raise ValueError("p_per_user must be > 0: quotas divide by it")
-        full = self.p_const + self.max_users * self.p_per_user
-        if abs(full - 1.0) > 1e-9:
-            raise ValueError(f"p_const + max_users * p_per_user must equal 1.0, got {full}")
+        if self.p_const >= 1.0:
+            raise ValueError(f"p_const must be below the full-load draw 1.0, so that each user adds power; got {self.p_const}")
         if self.p_sleep >= self.p_const:
             raise ValueError("p_sleep must be below p_const")
+
+    @property
+    def p_per_user(self) -> float:
+        return (1.0 - self.p_const) / self.max_users
 
 
 class CacheStore:
@@ -97,11 +97,13 @@ class CacheStore:
         removes nothing reads 0. Each station's insert sequence is its FIFO
         followed by its picks, so the pick at position ``p`` evicts position
         ``p - prefetch_capacity``. Raises ValueError, changing nothing, when
-        the bank has no prefetch slots, a pick's station or id is not in the
-        bank, or its id is held by its station at its turn: popular, or at
-        most ``prefetch_capacity`` inserts back in that sequence.
+        the arrays are not 1-D of one length, the bank has no prefetch slots,
+        a pick's station or id is not in the bank, or its station holds its id
+        at its turn: popular, or at most ``prefetch_capacity`` inserts back.
         """
         stations, contents = (np.asarray(a, dtype=np.int64) for a in picks)
+        if stations.ndim != 1 or stations.shape != contents.shape:
+            raise ValueError("prefetch picks must be 1-D stations and contents arrays of one length")
         n_stations, cap = self.fifo.shape
         if cap == 0:
             raise ValueError("this cache size has no prefetch slots")

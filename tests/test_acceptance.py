@@ -180,7 +180,6 @@ def test_a8_cap_law_property():
         p_const = float(rng.uniform(0.2, 0.8))
         power = PowerModel(
             p_const=p_const,
-            p_per_user=(1.0 - p_const) / max_users,
             p_sleep=float(rng.uniform(0.0, p_const * 0.5)),
             max_users=max_users,
             rate_per_user_mbps=10.0,

@@ -192,6 +192,14 @@ def test_missing_out_flag_exits_2():
     assert exc.value.code == 2
 
 
+def test_zero_seeds_exits_2(tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        run_cli(["run", "--out", tmp_path / "res", "--seeds", "0"] + FAST)
+    assert exc.value.code == 2
+    assert "must be >= 1" in capsys.readouterr().err
+    assert not (tmp_path / "res").exists()
+
+
 def test_module_entry_point_runs(tmp_path):
     out = tmp_path / "res"
     proc = subprocess.run(

@@ -63,7 +63,6 @@ cache_capacity = 40
 split_ratio = 0.5
 max_users = 5
 p_const = 0.6
-p_per_user = 0.08
 p_sleep = 0.02
 rate_per_user_mbps = 4
 
@@ -144,6 +143,8 @@ def test_unknown_section_rejected():
 def test_malformed_value_reports_line_number():
     with pytest.raises(ConfigError, match="line 3"):
         parse_settings("[catalog]\nn_files = 100\ngamma = banana\n")
+    with pytest.raises(ConfigError, match=r"line 2: .*'nan' \(expected a number\)"):
+        parse_settings("[catalog]\ngamma = nan\n")
 
 
 def test_key_outside_section_rejected():
@@ -190,14 +191,22 @@ def test_scenario_invariants_surface_as_config_errors():
         parse_settings("", ("traffic.peak_width_h=inf",))
     with pytest.raises(ConfigError, match="finite"):
         parse_settings("", ("station.rate_per_user_mbps=inf",))
-    with pytest.raises(ConfigError, match="p_per_user"):
-        parse_settings("", ("station.p_per_user=0", "station.p_const=1.0"))
+    with pytest.raises(ConfigError, match="p_const"):
+        parse_settings("", ("station.p_const=1.0",))
 
 
 def test_power_normalization_enforced_via_config():
     text = "[station]\np_const = 0.5\np_per_user = 0.2\n"
-    with pytest.raises(ConfigError, match="p_const"):
+    with pytest.raises(ConfigError, match="unknown key 'p_per_user'"):
         parse_settings(text)
+
+
+def test_power_keys_set_alone():
+    """``p_per_user`` follows ``p_const`` and ``max_users``, so each can be overridden by itself."""
+    power = parse_settings("", ("station.max_users=5",)).scenario.power
+    assert power.max_users == 5 and power.p_per_user == 0.1
+    power = parse_settings("", ("station.p_const=0.6",)).scenario.power
+    assert power.p_const == 0.6 and power.p_per_user == (1.0 - 0.6) / 10
 
 
 def test_battery_capacity_accepts_inf():
@@ -224,6 +233,8 @@ def test_cache_sizes_parsing():
     assert settings.cache_sizes == (0, 5, 10)
     with pytest.raises(ConfigError):
         parse_settings("[engine]\ncache_sizes = 1,,2\n")
+    with pytest.raises(ConfigError, match="expected a comma-separated list"):
+        parse_settings("[engine]\ncache_sizes = ,\n")
     with pytest.raises(ConfigError, match=">= 0"):
         parse_settings("[engine]\ncache_sizes = -1,5\n")
 
@@ -290,7 +301,7 @@ def _keys():
 def test_every_field_is_the_path_of_exactly_one_key():
     paths = Counter(path for _, path in _keys())
     assert paths == Counter(_leaves(RunSettings))
-    assert len(paths) == 37
+    assert len(paths) == 36
 
 
 def test_every_key_path_resolves():

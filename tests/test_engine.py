@@ -106,6 +106,12 @@ def test_scenario_validation():
         Scenario(seed=-1)
     with pytest.raises(ValueError, match="gamma"):
         Scenario(gamma=np.inf)
+    with pytest.raises(ValueError, match="step_seconds must be >= 1"):
+        Scenario(step_seconds=0)
+    with pytest.raises(ValueError, match="prefetch_budget"):
+        Scenario(prefetch_budget=-1)
+    with pytest.raises(ValueError, match="n_files"):
+        Scenario(n_files=0)
 
 
 def test_watermark_counts_on_a_steady_charge():
@@ -777,8 +783,7 @@ def random_scenario(rng):
                              peak_rate=float(rng.uniform(0.0, 2.5)),
                              sunrise_h=0.0, sunset_h=float(rng.uniform(0.5, 3.0))),
         battery_capacity=float(rng.choice([np.inf, rng.uniform(10.0, 3000.0)])),
-        power=PowerModel(p_const=p_const, p_per_user=(1.0 - p_const) / max_users,
-                         p_sleep=float(rng.uniform(0.0, p_const * 0.5)), max_users=max_users),
+        power=PowerModel(p_const=p_const, p_sleep=float(rng.uniform(0.0, p_const * 0.5)), max_users=max_users),
         cache_capacity=int(rng.integers(0, 60)),
         split_ratio=float(rng.uniform(0.0, 1.0)),
         prefetch_budget=int(rng.integers(0, 5)),

@@ -9,6 +9,7 @@ from scsim.catalog import build_catalog
 from scsim.mobility import (
     Highway,
     TrafficProfile,
+    _fill_ring,
     cell_indices,
     handovers_from_arrays,
     spawn_vehicles,
@@ -132,6 +133,25 @@ class TestSpawn:
         rng = np.random.default_rng(1)
         veh = spawn_vehicles(0.05, HW, CAT, rng)
         assert np.all(veh.position >= 0) and np.all(veh.position < HW.length)
+
+    def test_fill_ring_draws_until_it_passes_the_ring(self):
+        """First chunks of gaps that fall short of the ring are followed by more."""
+
+        class Stub:
+            def __init__(self):
+                self.drawn = []
+
+            def standard_exponential(self, n):
+                self.drawn.append(np.full(n, (0.1, 0.1, 1.0)[len(self.drawn)]))
+                return self.drawn[-1]
+
+        stub = Stub()
+        positions = _fill_ring(0.5, 100.0, stub)
+        assert len(stub.drawn) == 3
+        assert np.all(np.diff(positions) > 0) and 0 < positions[0] and positions[-1] < 100.0
+        every = np.cumsum(np.concatenate(stub.drawn) / 0.5)
+        assert every[-1] >= 100.0
+        np.testing.assert_array_equal(positions, every[every < 100.0], strict=True)
 
     def test_zero_density_spawns_nothing(self):
         veh = spawn_vehicles(0.0, HW, CAT, np.random.default_rng(0))

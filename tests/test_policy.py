@@ -226,6 +226,15 @@ class TestPlanPrefetch:
     def test_independent_budgets_per_station(self):
         assert plan(cache(n_stations=2), [(0, 1), (0, 2), (1, 3)], budget=1) == [(0, 1), (1, 3)]
 
+    def test_rejects_malformed_requests(self):
+        """Steps, stations and ids pair up one to one, as 1-D arrays, and the budget is >= 0."""
+        c = cache(n_stations=2)
+        for requests in (([0, 0, 1], [0, 0], [11, 12]), ([0], [0], [11, 12]), ([[0]], [[0]], [[11]]), (0, 0, 11)):
+            with pytest.raises(ValueError, match="1-D step, station and content arrays of one length"):
+                plan_prefetch(requests, c, 2)
+        with pytest.raises(ValueError, match="budget_per_station"):
+            plan_prefetch(([0], [0], [11]), c, -1)
+
     def test_matches_planning_and_inserting_step_by_step(self):
         """One epoch-wide plan and one insert give what the per-step, per-pair loop gave."""
         rng = np.random.default_rng(2024)
@@ -430,8 +439,7 @@ class TestGreedy:
         for _ in range(2000):
             max_users = int(rng.integers(1, 40))
             p_const = float(rng.uniform(0.01, 0.99))
-            pm = PowerModel(p_const=p_const, p_per_user=(1.0 - p_const) / max_users,
-                            p_sleep=0.0, max_users=max_users)
+            pm = PowerModel(p_const=p_const, p_sleep=0.0, max_users=max_users)
             delivered = np.concatenate((
                 rng.uniform(0.0, 1.0, 500),
                 p_const + rng.uniform(-1e-9, 1e-9, 500),

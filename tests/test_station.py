@@ -1,9 +1,11 @@
 from __future__ import annotations
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
-from scsim.policy import plan_prefetch
+from scsim.policy import _users, plan_prefetch
 from scsim.station import CacheStore, PowerModel
 
 
@@ -18,14 +20,35 @@ def insert(c, station, content):
     return removed
 
 
+def power_pairs():
+    """2000 random ``(p_const, max_users)`` pairs, then ``p_const`` at its edges."""
+    rng = np.random.default_rng(27)
+    pairs = [(float(p), int(m)) for p, m in zip(rng.uniform(0.0, 1.0, 2000), rng.integers(1, 1000, 2000))]
+    edges = (float(np.nextafter(0.0, 1.0)), 0.5, 0.6, float(np.nextafter(1.0, 0.0)))
+    return pairs + [(p, m) for p in edges for m in (1, 3, 10, 999)]
+
+
 class TestPowerModel:
     def test_defaults_normalised(self):
         pm = PowerModel()
         assert pm.p_const + pm.max_users * pm.p_per_user == pytest.approx(1.0, abs=1e-9)
 
-    def test_rejects_unnormalised_model(self):
-        with pytest.raises(ValueError):
-            PowerModel(p_const=0.6)  # 0.6 + 10*0.05 = 1.1
+    def test_p_per_user_is_derived(self):
+        """``p_per_user`` is ``(1 - p_const) / max_users`` bit for bit, and no field or argument."""
+        assert [f.name for f in fields(PowerModel)] == ["p_const", "p_sleep", "max_users", "rate_per_user_mbps"]
+        for p_const, max_users in power_pairs():
+            pm = PowerModel(p_const=p_const, p_sleep=0.0, max_users=max_users)
+            assert pm.p_per_user == (1.0 - p_const) / max_users
+        with pytest.raises(AttributeError):
+            pm.p_per_user = 0.1
+        with pytest.raises(TypeError):
+            PowerModel(p_per_user=0.05)
+
+    def test_full_load_serves_max_users(self):
+        """At the full-load draw 1.0 the quota arithmetic fits exactly ``max_users`` users."""
+        for p_const, max_users in power_pairs():
+            pm = PowerModel(p_const=p_const, p_sleep=0.0, max_users=max_users)
+            assert _users(pm, 1.0) == max_users
 
     def test_rejects_sleep_above_const(self):
         with pytest.raises(ValueError):
@@ -37,9 +60,11 @@ class TestPowerModel:
                 PowerModel(rate_per_user_mbps=rate)
 
     def test_rejects_free_users(self):
-        """Quotas divide by ``p_per_user``, so a normalised model needs it > 0."""
-        with pytest.raises(ValueError, match="p_per_user"):
-            PowerModel(p_const=1.0, p_per_user=0.0, p_sleep=0.01)
+        """Quotas divide by ``p_per_user = (1 - p_const) / max_users``, so it must be > 0 and finite."""
+        with pytest.raises(ValueError, match="p_const"):
+            PowerModel(p_const=1.0)
+        with pytest.raises(ValueError, match="max_users"):
+            PowerModel(max_users=0)
 
 
 class TestCacheStore:
@@ -56,6 +81,8 @@ class TestCacheStore:
         with pytest.raises(ValueError, match="no prefetch slots"):
             insert(c, 0, 5)
         assert not c.mask[0, 5]
+        picks = plan_prefetch(([0, 1], [0, 0], [5, 6]), c, 2)
+        assert picks.dtype == np.int64 and picks.tolist() == []
 
     def test_membership_is_union_of_partitions(self):
         c = bank(10, 0.5)
@@ -94,6 +121,12 @@ class TestCacheStore:
                 two.prefetch_insert(([0, station], [12, 13]))
             assert two.prefetch(0) == [] and two.prefetch(1) == [11]
             assert np.flatnonzero(two.mask).tolist() == [50 + 11]
+        # stations and contents pair up one to one, as 1-D arrays
+        for stations, contents in (([0], [12, 13]), ([0, 0], [12]), ([[0]], [[12]]), (0, 12)):
+            with pytest.raises(ValueError, match="1-D stations and contents arrays of one length"):
+                c.prefetch_insert((stations, contents))
+            assert c.prefetch(0) == [11]
+            assert np.flatnonzero(c.mask[0]).tolist() == [1, 11]
         # more than two inserts back the id has left the FIFO, so it may come back
         assert c.prefetch_insert(([0] * 4, [12, 13, 14, 12])).tolist() == [0, 11, 12, 13]
         assert c.prefetch(0) == [14, 12]

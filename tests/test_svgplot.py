@@ -9,6 +9,10 @@ from scsim.svgplot import _nice_ticks, render_line_chart
 def test_nice_ticks_walk_a_1_2_5_ladder():
     assert _nice_ticks(0, 24) == [0, 5, 10, 15, 20]
     assert _nice_ticks(-3, 7) == [-2, 0, 2, 4, 6]
+    # a flat range widens by |lo|, or by 1 at 0
+    assert _nice_ticks(3, 3) == [3, 4, 5, 6]
+    assert _nice_ticks(-2, -2) == [-2, -1.5, -1, -0.5, 0]
+    assert _nice_ticks(0, 0)[::5] == [0, 1]
 
 
 @pytest.mark.parametrize("lo, hi", [(math.nan, 1.0), (0.0, math.inf), (-math.inf, 0.0)])
