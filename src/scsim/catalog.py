@@ -17,23 +17,32 @@ __all__ = ["Catalog", "build_catalog", "hit_rate", "sample_requests", "top_k"]
 class Catalog:
     """Immutable content catalog with a Zipf popularity law.
 
+    ``n_files`` and ``gamma`` are the inputs, checked on construction;
+    ``popularity`` is derived from them and left out of ``==`` and
+    ``hash``.
+
     Attributes
     ----------
     n_files : int
-        Number of distinct files, ids ``1..n_files``.
+        Number of distinct files, ids ``1..n_files``; a whole number >= 1.
     gamma : float
-        Zipf skew exponent; 0 gives a uniform catalog.
+        Zipf skew exponent, finite and >= 0; 0 gives a uniform catalog.
     popularity : numpy.ndarray
-        ``popularity[i - 1]`` is the request probability of id ``i``.
-        Non-increasing and normalised to sum to 1.
+        Derived: ``popularity[i - 1]`` is the request probability of id
+        ``i``. Non-increasing and normalised to sum to 1.
     """
 
     n_files: int
     gamma: float
-    popularity: np.ndarray = field(repr=False)
+    popularity: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "popularity", np.asarray(self.popularity, dtype=np.float64))
+        if not (self.n_files >= 1 and self.n_files % 1 == 0):
+            raise ValueError(f"n_files must be a whole number >= 1, got {self.n_files}")
+        if not np.isfinite(self.gamma) or self.gamma < 0:
+            raise ValueError(f"gamma must be finite and >= 0, got {self.gamma}")
+        weights = np.arange(1, self.n_files + 1, dtype=np.float64) ** -float(self.gamma)
+        object.__setattr__(self, "popularity", weights / weights.sum())
         # Cumulative distribution, used by sample_requests for an
         # inverse-CDF lookup.
         object.__setattr__(self, "_cdf", np.cumsum(self.popularity))
@@ -42,7 +51,8 @@ class Catalog:
 def build_catalog(n_files: int, gamma: float) -> Catalog:
     """Build a catalog whose popularity follows a Zipf law.
 
-    The popularity of id ``i`` is ``i**-gamma / sum(j**-gamma for j in 1..n)``.
+    The popularity of id ``i`` is ``i**-gamma / sum(j**-gamma for j in 1..n)``;
+    :class:`Catalog` checks the arguments, cast to int and float, and derives it.
 
     Parameters
     ----------
@@ -60,14 +70,7 @@ def build_catalog(n_files: int, gamma: float) -> Catalog:
     ValueError
         If ``n_files < 1`` or ``gamma`` is negative or not finite.
     """
-    if n_files < 1:
-        raise ValueError(f"n_files must be >= 1, got {n_files}")
-    if not np.isfinite(gamma) or gamma < 0:
-        raise ValueError(f"gamma must be finite and >= 0, got {gamma}")
-    ids = np.arange(1, n_files + 1, dtype=np.float64)
-    weights = ids ** -float(gamma)
-    popularity = weights / weights.sum()
-    return Catalog(n_files=int(n_files), gamma=float(gamma), popularity=popularity)
+    return Catalog(n_files=int(n_files), gamma=float(gamma))
 
 
 def hit_rate(catalog: Catalog, cache: set[int]) -> float:

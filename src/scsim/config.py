@@ -111,7 +111,7 @@ SCHEMA = {
         "floor_fraction": ("scenario.traffic.floor_fraction", "overnight demand floor relative to peak"),
     },
     "energy": {
-        "kind": ("scenario.energy.kind", "harvest profile: solar-sine, constant, or zero"),
+        "kind": ("scenario.energy.kind", "harvest profile: solar-sine or constant"),
         "peak_rate": ("scenario.energy.peak_rate", "peak harvest rate in station power units"),
         "sunrise_h": ("scenario.energy.sunrise_h", "solar-sine rise hour"),
         "sunset_h": ("scenario.energy.sunset_h", "solar-sine set hour"),

@@ -9,7 +9,7 @@ steps at a time, both by one step rule.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
@@ -24,7 +24,7 @@ __all__ = [
     "ledger_residual",
 ]
 
-KINDS = ("solar-sine", "constant", "zero")
+KINDS = ("solar-sine", "constant")
 SECONDS_PER_DAY = 86400.0
 
 
@@ -56,8 +56,6 @@ def harvest_rates(profile: EnergyProfile, ts: np.ndarray) -> np.ndarray:
     ``peak_rate`` at midday, zero outside daylight.
     """
     ts = np.asarray(ts, dtype=np.float64)
-    if profile.kind == "zero":
-        return np.zeros_like(ts)
     if profile.kind == "constant":
         return np.full_like(ts, profile.peak_rate)
     hour = (ts / 3600.0) % 24.0
@@ -74,8 +72,6 @@ def mean_rate(profile: EnergyProfile, t0: float, t1: float) -> float:
     """
     if not t1 > t0:
         raise ValueError("t1 must be later than t0")
-    if profile.kind == "zero":
-        return 0.0
     if profile.kind == "constant":
         return profile.peak_rate
     return _solar_integral(profile, t0, t1) / (t1 - t0)
@@ -109,22 +105,23 @@ _BOOKED = ("cum_harvested", "cum_consumed", "cum_overflow", "cum_deficit")
 class Battery:
     """A bank of energy stores with a full conservation ledger.
 
-    ``level``, ``initial_level`` and each ``cum_*`` entry are float64
-    arrays of one shape, one value per station; a scalar ``level`` makes
-    a one-station bank. Per station, ``cum_harvested - cum_overflow -
+    ``level`` and ``capacity`` are the inputs; a scalar ``level`` makes a
+    one-station bank. The ledger opens with the bank: ``initial_level``
+    copies ``level`` and each ``cum_*`` entry is 0.0, all float64 arrays
+    of its shape. Per station, ``cum_harvested - cum_overflow -
     cum_consumed == level - initial_level`` holds exactly (to float
     rounding) after any sequence of steps; ``cum_deficit`` records
-    requested-but-undelivered energy outside that identity. Every step
-    books overflow, which stays exactly 0.0 at an infinite ``capacity``.
+    requested-but-undelivered energy outside that identity, and overflow
+    stays exactly 0.0 at an infinite ``capacity``.
     """
 
     level: np.ndarray = 0.0  # type: ignore[assignment]
     capacity: float = math.inf
-    cum_harvested: np.ndarray = 0.0  # type: ignore[assignment]
-    cum_consumed: np.ndarray = 0.0  # type: ignore[assignment]
-    cum_overflow: np.ndarray = 0.0  # type: ignore[assignment]
-    cum_deficit: np.ndarray = 0.0  # type: ignore[assignment]
-    initial_level: np.ndarray = None  # type: ignore[assignment]
+    cum_harvested: np.ndarray = field(init=False)
+    cum_consumed: np.ndarray = field(init=False)
+    cum_overflow: np.ndarray = field(init=False)
+    cum_deficit: np.ndarray = field(init=False)
+    initial_level: np.ndarray = field(init=False)
 
     def __post_init__(self) -> None:
         self.level = np.array(self.level, dtype=np.float64, ndmin=1)
@@ -134,10 +131,9 @@ class Battery:
             raise ValueError("level must be >= 0")
         if np.any(self.level > self.capacity):
             raise ValueError("level must not exceed capacity")
-        if self.initial_level is None:
-            self.initial_level = self.level
-        for name in ("initial_level", *_BOOKED):
-            setattr(self, name, np.full(self.level.shape, getattr(self, name), dtype=np.float64))
+        self.initial_level = self.level.copy()
+        for name in _BOOKED:
+            setattr(self, name, np.zeros(self.level.shape))
 
 
 def _step_rule(level: np.ndarray, capacity: float, harvest, draw, dt: float) -> tuple[tuple, np.ndarray]:

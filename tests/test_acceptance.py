@@ -203,8 +203,9 @@ def test_a8_cap_law_property():
             ),
             speed=float(rng.uniform(3.0, 40.0)),
             energy=EnergyProfile(
-                kind=("solar-sine", "constant", "zero")[int(rng.integers(0, 3))],
-                peak_rate=float(rng.uniform(0.0, 1.5)),
+                # the third kind is no harvest: constant at rate 0, its rate still drawn
+                kind=("solar-sine", "constant", "constant")[k := int(rng.integers(0, 3))],
+                peak_rate=(float(rng.uniform(0.0, 1.5)), 0.0)[k == 2],
             ),
             battery_capacity=(
                 math.inf if rng.integers(0, 2) else float(rng.uniform(10.0, 5000.0))

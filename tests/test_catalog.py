@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from scsim.catalog import build_catalog, hit_rate, sample_requests, top_k
+from scsim.catalog import Catalog, build_catalog, hit_rate, sample_requests, top_k
 
 
 def zipf_mass(ids, n_files, gamma):
@@ -57,13 +57,58 @@ class TestBuildCatalog:
 
     @pytest.mark.parametrize("n_files", [0, -3])
     def test_rejects_empty_catalog(self, n_files):
-        with pytest.raises(ValueError):
-            build_catalog(n_files, 1.0)
+        for make in (build_catalog, Catalog):
+            with pytest.raises(ValueError, match="n_files"):
+                make(n_files, 1.0)
 
     @pytest.mark.parametrize("gamma", [-0.1, float("nan"), float("inf")])
     def test_rejects_bad_gamma(self, gamma):
-        with pytest.raises(ValueError):
-            build_catalog(10, gamma)
+        for make in (build_catalog, Catalog):
+            with pytest.raises(ValueError, match="gamma"):
+                make(10, gamma)
+
+
+class TestCatalogRecord:
+    """``Catalog(n_files, gamma)`` is the whole input; the popularity is derived."""
+
+    @staticmethod
+    def reference_popularity(n_files, gamma):
+        """The Zipf popularity as ``build_catalog`` computed it before ``Catalog`` derived it."""
+        ids = np.arange(1, n_files + 1, dtype=np.float64)
+        weights = ids ** -float(gamma)
+        return weights / weights.sum()
+
+    def test_popularity_matches_the_reference_formula_bit_for_bit(self):
+        rng = np.random.default_rng(28)
+        pairs = [(int(n), float(g)) for n, g in zip(rng.integers(1, 3000, 2000), rng.uniform(0.0, 4.0, 2000))]
+        pairs += [(1, 1.0), (1, 0.0), (1, 3.5), (250, 0.0), (1000, 0.0)]
+        for n_files, gamma in pairs:
+            want = self.reference_popularity(n_files, gamma)
+            for cat in (Catalog(n_files, gamma), build_catalog(n_files, gamma)):
+                assert cat.popularity.dtype == np.float64
+                assert cat.popularity.tobytes() == want.tobytes(), (n_files, gamma)
+
+    def test_build_catalog_sizes_popularity_by_the_cast_n_files(self):
+        cat = build_catalog(2.7, 1.0)
+        assert cat.n_files == 2
+        assert cat.popularity.size == cat.n_files
+        for n_files in (2.7, float("nan"), float("inf")):
+            with pytest.raises(ValueError, match="n_files"):
+                Catalog(n_files, 1.0)
+
+    def test_popularity_is_not_an_input(self):
+        with pytest.raises(TypeError):
+            Catalog(3, 1.0, [0.1, 0.5, 0.9])
+        with pytest.raises(TypeError):
+            Catalog(n_files=3, gamma=1.0, popularity=[0.1, 0.5, 0.9])
+
+    def test_compares_and_hashes_by_its_inputs(self):
+        a, b = build_catalog(5, 1.0), build_catalog(5, 1.0)
+        assert a == b and a == Catalog(5, 1.0)
+        assert hash(a) == hash(b)
+        assert a != build_catalog(5, 0.5)
+        assert a != build_catalog(6, 1.0)
+        assert len({a, b, Catalog(5, 1.0), build_catalog(5, 0.5)}) == 2
 
 
 class TestHitRate:

@@ -165,8 +165,9 @@ def test_timescale_nesting_violation_is_config_error():
 def test_scenario_invariants_surface_as_config_errors():
     with pytest.raises(ConfigError):
         parse_settings("[station]\nsplit_ratio = 1.5\n")
-    with pytest.raises(ConfigError):
-        parse_settings("[energy]\nkind = fusion\n")
+    for kind in ("fusion", "zero"):
+        with pytest.raises(ConfigError):
+            parse_settings(f"[energy]\nkind = {kind}\n")
     with pytest.raises(ConfigError):
         parse_settings("[policy]\nname = lazy\n")
     with pytest.raises(ConfigError):

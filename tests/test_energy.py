@@ -42,7 +42,7 @@ class TestHarvestRate:
 
     def test_constant_and_zero_kinds(self):
         assert harvest_rates(EnergyProfile(kind="constant", peak_rate=0.7), [123.0]).tolist() == [0.7]
-        assert harvest_rates(EnergyProfile(kind="zero"), [43200.0]).tolist() == [0.0]
+        assert harvest_rates(EnergyProfile(kind="constant", peak_rate=0.0), [43200.0]).tolist() == [0.0]
 
     def test_rejects_bad_profiles(self):
         with pytest.raises(ValueError):
@@ -334,6 +334,18 @@ def test_every_ledger_entry_is_a_float64_array_shaped_like_level():
     assert [f.name for f in fields(Battery)] == [
         "level", "capacity", "cum_harvested", "cum_consumed", "cum_overflow", "cum_deficit", "initial_level",
     ]
+    # level and capacity are the only inputs; the ledger opens with the bank
+    assert [f.name for f in fields(Battery) if f.init] == ["level", "capacity"]
+    with pytest.raises(TypeError):
+        Battery(level=1.0, cum_harvested=5.0)
+    with pytest.raises(TypeError):
+        Battery(level=1.0, initial_level=0.0)
+    fresh = Battery(level=np.array([0.0, 1.0, 2.0]), capacity=2.5)
+    for name in LEDGER[1:]:
+        assert getattr(fresh, name).tolist() == [0.0, 0.0, 0.0], name
+    assert ledger_residual(fresh).tolist() == [0.0, 0.0, 0.0]
+    fresh.level[0] = 2.5
+    assert fresh.initial_level.tolist() == [0.0, 1.0, 2.0]
     batt = Battery(level=0.5, capacity=2.0)
     assert_one_bank(batt, (1,))
     battery_step(batt, 0.3, 0.4, dt=1.0)

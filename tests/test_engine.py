@@ -181,7 +181,7 @@ def test_sustainable_requests_only_available_power():
 def test_greedy_without_harvest_books_full_deficit():
     rep = run(Scenario(
         policy="greedy",
-        energy=EnergyProfile(kind="zero"),
+        energy=EnergyProfile(kind="constant", peak_rate=0.0),
         traffic=TrafficProfile(base_density=0.001, enabled=False),
         duration=1800,
     ))
@@ -300,7 +300,7 @@ def test_sweep_cache_is_monotone_with_shared_seeds():
 
 def test_compare_energy_defines_zero_over_zero_as_one():
     cmp = compare_energy(Scenario(
-        energy=EnergyProfile(kind="zero"),
+        energy=EnergyProfile(kind="constant", peak_rate=0.0),
         traffic=TrafficProfile(base_density=0.0005, enabled=False),
         duration=900,
     ))
@@ -369,7 +369,7 @@ SHARED_DEMAND_CASES = {
     ),
     "no-harvest": Scenario(
         traffic=TrafficProfile(base_density=0.004, enabled=False),
-        energy=EnergyProfile(kind="zero"),
+        energy=EnergyProfile(kind="constant", peak_rate=0.0),
         duration=1800,
     ),
     "zero-density": Scenario(
@@ -447,7 +447,7 @@ def test_compare_energy_matches_separate_runs(sc):
     # the cases reach the branches they are named for
     if sc.battery_capacity == 50.0:
         assert sus.overflow_energy > 0 and greedy.overflow_energy > 0
-    if sc.energy.kind == "zero":
+    if sc.energy.kind == "constant" and sc.energy.peak_rate == 0.0:
         assert sus.scs_served == 0 and sus.outage_energy == 0.0
     if sc.traffic.base_density == 0.0:
         assert all(em.offered == 0 for em in sus.epochs)
@@ -779,8 +779,9 @@ def random_scenario(rng):
         traffic=TrafficProfile(base_density=float(rng.uniform(0.0, 0.03)),
                                enabled=bool(rng.integers(0, 2))),
         speed=float(rng.uniform(3.0, 40.0)),
-        energy=EnergyProfile(kind=("solar-sine", "constant", "zero")[int(rng.integers(0, 3))],
-                             peak_rate=float(rng.uniform(0.0, 2.5)),
+        # the third kind is no harvest: constant at rate 0, its rate still drawn
+        energy=EnergyProfile(kind=("solar-sine", "constant", "constant")[k := int(rng.integers(0, 3))],
+                             peak_rate=(float(rng.uniform(0.0, 2.5)), 0.0)[k == 2],
                              sunrise_h=0.0, sunset_h=float(rng.uniform(0.5, 3.0))),
         battery_capacity=float(rng.choice([np.inf, rng.uniform(10.0, 3000.0)])),
         power=PowerModel(p_const=p_const, p_sleep=float(rng.uniform(0.0, p_const * 0.5)), max_users=max_users),
